@@ -93,8 +93,8 @@ impl Database {
         // A crash between snapshot write and rename leaves a stale tmp;
         // it was never published, so it is garbage.
         snapshot::remove_stale_tmp(dir);
-        let snap = snapshot::read_snapshot(dir)?;
-        let snapshot_lsn = snap.as_ref().map(|(lsn, _)| *lsn).unwrap_or(0);
+        let snap = snapshot::load_snapshot(dir)?;
+        let snapshot_lsn = snap.as_ref().map(|s| s.lsn).unwrap_or(0);
         let wal_path = dir.join("mmdb.wal");
         let mut recovery = wal::recover_from_file_after(&wal_path, snapshot_lsn)?;
         if recovery.base_lsn > snapshot_lsn {
@@ -117,8 +117,10 @@ impl Database {
         }
         // Snapshot state replays first, through the same apply path as
         // WAL redo (txid 0 marks snapshot provenance), then the suffix.
-        if let Some((_, entries)) = snap {
-            let mut redo: Vec<wal::RedoOp> = entries
+        let snapshot_next_txid = snap.as_ref().map(|s| s.next_txid).unwrap_or(0);
+        if let Some(snap) = snap {
+            let mut redo: Vec<wal::RedoOp> = snap
+                .entries
                 .into_iter()
                 .map(|e| wal::RedoOp {
                     txid: 0,
@@ -139,6 +141,7 @@ impl Database {
         if let Some(age) = snapshot::snapshot_age(dir) {
             *db.ckpt.last_at.lock() = Some((Instant::now(), age));
         }
+        db.mvcc.advance_txids(snapshot_next_txid);
         db.mvcc.recover(&recovery)?;
         // Replication watermark: everything up to the recovered tail is
         // committed history a replica may resume from.
@@ -412,7 +415,12 @@ impl Database {
                         .collect();
                     let mut snapshot_bytes = 0;
                     if let Some(dir) = &self.dir {
-                        snapshot_bytes = snapshot::write_snapshot(dir, lsn, &encoded)?;
+                        snapshot_bytes = snapshot::write_snapshot(
+                            dir,
+                            lsn,
+                            self.mvcc.next_txid(),
+                            &encoded,
+                        )?;
                     }
                     wal.append_checkpoint(lsn)?;
                     let reclaimed = wal.truncate_below(lsn)?;

@@ -287,188 +287,199 @@ impl Session {
 /// `Database::create_table`), which replay in log order ahead of the
 /// rows they govern — recovery needs no help from the application.
 pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
+    // Every write applies even when an earlier one fails: recovery hands
+    // the whole log over as one write set, and stopping at the first
+    // error would silently drop everything behind it.
+    let mut first_err = None;
     for w in writes {
-        let mut parts = w.domain.splitn(2, '/');
-        let model = parts.next().unwrap_or_default();
-        let rest = parts.next().unwrap_or_default();
-        match model {
-            "ddl" => {
-                if rest != "table" {
-                    return Err(Error::Internal(format!("unknown ddl domain '{rest}'")));
-                }
-                let name = std::str::from_utf8(&w.key)
-                    .map_err(|_| Error::Internal("non-utf8 table name".into()))?;
-                match &w.value {
-                    Some(schema_value) => {
-                        // Idempotent: live commits race nobody (the hook
-                        // runs post-validation), but recovery may replay a
-                        // create the application already issued.
-                        if world.catalog.table(name).is_err() {
-                            world
-                                .catalog
-                                .create_table(name, Schema::from_value(schema_value)?)?;
-                        }
-                    }
-                    None => {
-                        let _ = world.catalog.drop_table(name);
-                    }
-                }
-            }
-            "doc" => {
-                let coll = match world.collection(rest) {
-                    Ok(c) => c,
-                    Err(_) => world.create_collection(rest)?,
-                };
-                let key = std::str::from_utf8(&w.key)
-                    .map_err(|_| Error::Internal("non-utf8 doc key".into()))?;
-                match &w.value {
-                    Some(doc) => {
-                        if coll.get(key)?.is_some() {
-                            coll.update(key, doc.clone())?;
-                        } else {
-                            coll.insert(doc.clone())?;
-                        }
-                        world.fulltext_touch(rest, doc);
-                    }
-                    None => {
-                        coll.remove(key)?;
-                    }
-                }
-            }
-            "kv" => {
-                if !world.kv.buckets().contains(&rest.to_string()) {
-                    world.kv.create_bucket(rest)?;
-                }
-                let key = std::str::from_utf8(&w.key)
-                    .map_err(|_| Error::Internal("non-utf8 kv key".into()))?;
-                match &w.value {
-                    Some(v) => world.kv.put(rest, key, v.clone())?,
-                    None => {
-                        world.kv.delete(rest, key)?;
-                    }
-                }
-            }
-            "rel" => {
-                let Ok(table) = world.catalog.table(rest) else {
-                    // Unknown table: its ddl/table record replays earlier
-                    // in the same log, so this only happens for rows whose
-                    // table was later dropped — nothing to apply.
-                    continue;
-                };
-                match &w.value {
-                    Some(obj) => {
-                        let row = table.schema().row_from_object(obj)?;
-                        let pk = row[table.schema().primary_key()].clone();
-                        if table.get(&pk)?.is_some() {
-                            table.update(&pk, row)?;
-                        } else {
-                            table.insert(row)?;
-                        }
-                    }
-                    None => {
-                        // The key is the encoded pk; recover the pk from a scan
-                        // is wasteful — instead keep pk inside deletes' keys:
-                        // delete_row encodes key_of(pk), so match by encoding.
-                        let rows = table.scan()?;
-                        for row in rows {
-                            let pk = &row[table.schema().primary_key()];
-                            if key_of(pk) == w.key {
-                                table.delete(pk)?;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            "graph" => {
-                let mut seg = rest.splitn(3, '/');
-                let gname = seg.next().unwrap_or_default();
-                let kind = seg.next().unwrap_or_default();
-                let coll = seg.next().unwrap_or_default();
-                let graph = match world.graph(gname) {
-                    Ok(g) => g,
-                    Err(_) => world.create_graph(gname)?,
-                };
-                match kind {
-                    "v" => {
-                        if graph.vertex(&format!("{coll}/{}", String::from_utf8_lossy(&w.key))).is_err()
-                        {
-                            graph.create_vertex_collection(coll)?;
-                        }
-                        match &w.value {
-                            Some(doc) => {
-                                let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                                if graph.vertex(&handle)?.is_some() {
-                                    // Vertex docs update in place via the
-                                    // underlying collection semantics: remove
-                                    // + re-add keeps edges (no cascade here).
-                                    graph.update_vertex(&handle, doc.clone())?;
-                                } else {
-                                    graph.add_vertex(coll, doc.clone())?;
-                                }
-                            }
-                            None => {
-                                let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                                graph.remove_vertex(&handle)?;
-                            }
-                        }
-                    }
-                    "e" => {
-                        if !graph.edge_collection_exists(coll) {
-                            graph.create_edge_collection(coll)?;
-                        }
-                        match &w.value {
-                            Some(doc) => {
-                                let from = doc.get_field("_from").as_str()?.to_string();
-                                let to = doc.get_field("_to").as_str()?.to_string();
-                                graph.add_edge(coll, &from, &to, doc.clone())?;
-                            }
-                            None => {
-                                let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                                graph.remove_edge(&handle)?;
-                            }
-                        }
-                    }
-                    other => {
-                        return Err(Error::Internal(format!("bad graph domain kind '{other}'")))
-                    }
-                }
-            }
-            "rdf" => {
-                let mut store = world.rdf.write();
-                match &w.value {
-                    Some(t) => {
-                        store.insert(mmdb_rdf::Triple {
-                            subject: t.get_field("s").as_str()?.to_string(),
-                            predicate: t.get_field("p").as_str()?.to_string(),
-                            object: t.get_field("o").clone(),
-                            graph: None,
-                        })?;
-                    }
-                    None => {
-                        // Without the value we can't know (s,p,o); rdf_remove
-                        // is therefore modeled as put-of-nothing: scan-free
-                        // removal needs the original triple, which the key
-                        // encodes — but decoding composite keys is lossy for
-                        // strings; accept the scan for this rare path.
-                        // (The session API keeps deletes rare.)
-                        let all: Vec<mmdb_rdf::Triple> =
-                            store.all(None).into_iter().cloned().collect();
-                        for t in all {
-                            let key = encode_composite_key(&[
-                                Value::str(&t.subject),
-                                Value::str(&t.predicate),
-                                t.object.clone(),
-                            ]);
-                            if key == w.key {
-                                store.remove(&t.subject, &t.predicate, &t.object);
-                            }
-                        }
-                    }
-                }
-            }
-            other => return Err(Error::Internal(format!("unknown model domain '{other}'"))),
+        if let Err(e) = apply_write(world, w) {
+            first_err.get_or_insert(e);
         }
+    }
+    first_err.map_or(Ok(()), Err)
+}
+
+fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
+    let mut parts = w.domain.splitn(2, '/');
+    let model = parts.next().unwrap_or_default();
+    let rest = parts.next().unwrap_or_default();
+    match model {
+        "ddl" => {
+            if rest != "table" {
+                return Err(Error::Internal(format!("unknown ddl domain '{rest}'")));
+            }
+            let name = std::str::from_utf8(&w.key)
+                .map_err(|_| Error::Internal("non-utf8 table name".into()))?;
+            match &w.value {
+                Some(schema_value) => {
+                    // Idempotent: live commits race nobody (the hook
+                    // runs post-validation), but recovery may replay a
+                    // create the application already issued.
+                    if world.catalog.table(name).is_err() {
+                        world
+                            .catalog
+                            .create_table(name, Schema::from_value(schema_value)?)?;
+                    }
+                }
+                None => {
+                    let _ = world.catalog.drop_table(name);
+                }
+            }
+        }
+        "doc" => {
+            let coll = match world.collection(rest) {
+                Ok(c) => c,
+                Err(_) => world.create_collection(rest)?,
+            };
+            let key = std::str::from_utf8(&w.key)
+                .map_err(|_| Error::Internal("non-utf8 doc key".into()))?;
+            match &w.value {
+                Some(doc) => {
+                    if coll.get(key)?.is_some() {
+                        coll.update(key, doc.clone())?;
+                    } else {
+                        coll.insert(doc.clone())?;
+                    }
+                    world.fulltext_touch(rest, doc);
+                }
+                None => {
+                    coll.remove(key)?;
+                }
+            }
+        }
+        "kv" => {
+            if !world.kv.buckets().contains(&rest.to_string()) {
+                world.kv.create_bucket(rest)?;
+            }
+            let key = std::str::from_utf8(&w.key)
+                .map_err(|_| Error::Internal("non-utf8 kv key".into()))?;
+            match &w.value {
+                Some(v) => world.kv.put(rest, key, v.clone())?,
+                None => {
+                    world.kv.delete(rest, key)?;
+                }
+            }
+        }
+        "rel" => {
+            let Ok(table) = world.catalog.table(rest) else {
+                // Unknown table: its ddl/table record replays earlier
+                // in the same log, so this only happens for rows whose
+                // table was later dropped — nothing to apply.
+                return Ok(());
+            };
+            match &w.value {
+                Some(obj) => {
+                    let row = table.schema().row_from_object(obj)?;
+                    let pk = row[table.schema().primary_key()].clone();
+                    if table.get(&pk)?.is_some() {
+                        table.update(&pk, row)?;
+                    } else {
+                        table.insert(row)?;
+                    }
+                }
+                None => {
+                    // The key is the encoded pk; recover the pk from a scan
+                    // is wasteful — instead keep pk inside deletes' keys:
+                    // delete_row encodes key_of(pk), so match by encoding.
+                    let rows = table.scan()?;
+                    for row in rows {
+                        let pk = &row[table.schema().primary_key()];
+                        if key_of(pk) == w.key {
+                            table.delete(pk)?;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        "graph" => {
+            let mut seg = rest.splitn(3, '/');
+            let gname = seg.next().unwrap_or_default();
+            let kind = seg.next().unwrap_or_default();
+            let coll = seg.next().unwrap_or_default();
+            let graph = match world.graph(gname) {
+                Ok(g) => g,
+                Err(_) => world.create_graph(gname)?,
+            };
+            match kind {
+                "v" => {
+                    if graph.vertex(&format!("{coll}/{}", String::from_utf8_lossy(&w.key))).is_err()
+                    {
+                        graph.create_vertex_collection(coll)?;
+                    }
+                    match &w.value {
+                        Some(doc) => {
+                            let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
+                            if graph.vertex(&handle)?.is_some() {
+                                // Vertex docs update in place via the
+                                // underlying collection semantics: remove
+                                // + re-add keeps edges (no cascade here).
+                                graph.update_vertex(&handle, doc.clone())?;
+                            } else {
+                                graph.add_vertex(coll, doc.clone())?;
+                            }
+                        }
+                        None => {
+                            let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
+                            graph.remove_vertex(&handle)?;
+                        }
+                    }
+                }
+                "e" => {
+                    if !graph.edge_collection_exists(coll) {
+                        graph.create_edge_collection(coll)?;
+                    }
+                    match &w.value {
+                        Some(doc) => {
+                            let from = doc.get_field("_from").as_str()?.to_string();
+                            let to = doc.get_field("_to").as_str()?.to_string();
+                            graph.add_edge(coll, &from, &to, doc.clone())?;
+                        }
+                        None => {
+                            let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
+                            graph.remove_edge(&handle)?;
+                        }
+                    }
+                }
+                other => {
+                    return Err(Error::Internal(format!("bad graph domain kind '{other}'")))
+                }
+            }
+        }
+        "rdf" => {
+            let mut store = world.rdf.write();
+            match &w.value {
+                Some(t) => {
+                    store.insert(mmdb_rdf::Triple {
+                        subject: t.get_field("s").as_str()?.to_string(),
+                        predicate: t.get_field("p").as_str()?.to_string(),
+                        object: t.get_field("o").clone(),
+                        graph: None,
+                    })?;
+                }
+                None => {
+                    // Without the value we can't know (s,p,o); rdf_remove
+                    // is therefore modeled as put-of-nothing: scan-free
+                    // removal needs the original triple, which the key
+                    // encodes — but decoding composite keys is lossy for
+                    // strings; accept the scan for this rare path.
+                    // (The session API keeps deletes rare.)
+                    let all: Vec<mmdb_rdf::Triple> =
+                        store.all(None).into_iter().cloned().collect();
+                    for t in all {
+                        let key = encode_composite_key(&[
+                            Value::str(&t.subject),
+                            Value::str(&t.predicate),
+                            t.object.clone(),
+                        ]);
+                        if key == w.key {
+                            store.remove(&t.subject, &t.predicate, &t.object);
+                        }
+                    }
+                }
+            }
+        }
+        other => return Err(Error::Internal(format!("unknown model domain '{other}'"))),
     }
     Ok(())
 }
@@ -665,5 +676,53 @@ mod tests {
             .query(r#"FOR v IN 1..1 OUTBOUND "persons/1" knows RETURN v._key"#)
             .unwrap();
         assert_eq!(got, vec![Value::str("2")]);
+    }
+
+    #[test]
+    fn a_failing_write_does_not_drop_the_rest_of_the_write_set() {
+        let world = World::in_memory();
+        let write = |domain: &str, key: &str, json: &str| CommittedWrite {
+            domain: domain.into(),
+            key: key.as_bytes().to_vec(),
+            value: Some(mmdb_types::from_json(json).unwrap()),
+        };
+        let writes = [
+            write("doc/orders", "o1", r#"{"_key":"o1"}"#),
+            // The edge's endpoints do not exist: this write fails.
+            write("graph/g/e/knows", "e1", r#"{"_key":"e1","_from":"p/1","_to":"p/2"}"#),
+            write("doc/orders", "o2", r#"{"_key":"o2"}"#),
+            write("kv/cart", "1", r#""o2""#),
+        ];
+        let err = apply_committed(&world, &writes).unwrap_err();
+        assert_eq!(err.kind(), "not_found", "the first failure is reported: {err}");
+        let orders = world.collection("orders").unwrap();
+        assert!(orders.get("o1").unwrap().is_some());
+        assert!(orders.get("o2").unwrap().is_some(), "writes behind the failure still apply");
+        assert_eq!(world.kv.get("cart", "1").unwrap(), Some(Value::str("o2")));
+    }
+
+    #[test]
+    fn generated_keys_do_not_repeat_across_restarts() {
+        for checkpoint in [false, true] {
+            let dir = std::env::temp_dir()
+                .join(format!("mmdb-genkeys-{checkpoint}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut keys = std::collections::HashSet::new();
+            for _boot in 0..3 {
+                let db = Database::open(&dir).unwrap();
+                for _ in 0..2 {
+                    let mut s = db.begin(IsolationLevel::Snapshot);
+                    let v = s.add_vertex("g", "p", Value::object(Vec::<(String, Value)>::new())).unwrap();
+                    let e = s.add_edge("g", "e", &v, &v, Value::object(Vec::<(String, Value)>::new())).unwrap();
+                    s.commit().unwrap();
+                    assert!(keys.insert(v.clone()), "vertex key {v} repeated (checkpoint: {checkpoint})");
+                    assert!(keys.insert(e.clone()), "edge key {e} repeated (checkpoint: {checkpoint})");
+                }
+                if checkpoint {
+                    db.checkpoint().unwrap();
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

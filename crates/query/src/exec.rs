@@ -2,11 +2,12 @@
 
 use std::collections::HashMap;
 use std::ops::Bound;
+use std::rc::Rc;
 
 use mmdb_graph::Direction;
 use mmdb_types::{Error, Result, Value};
 
-use crate::ast::{AggFunc, Expr, Query, SortOrder, TraversalDirection};
+use crate::ast::{AggFunc, BinOp, Expr, Query, SortOrder, TraversalDirection};
 use crate::cancel;
 use crate::eval::eval_expr;
 use crate::plan::{build_plan, Plan, PlanBound, PlanNode};
@@ -57,6 +58,16 @@ impl Env {
             value,
             parent: self.head.take(),
         }));
+    }
+
+    /// Take back the innermost binding's value — without a copy when
+    /// this env holds the only reference to its frame (`Null` when empty).
+    fn into_innermost(self) -> Value {
+        match self.head.map(std::sync::Arc::try_unwrap) {
+            Some(Ok(frame)) => frame.value,
+            Some(Err(shared)) => shared.value.clone(),
+            None => Value::Null,
+        }
     }
 
     /// Visible bindings (shadowed frames skipped), outermost-first order
@@ -164,6 +175,103 @@ impl Drop for SubTraceGuard {
     }
 }
 
+/// A `HashProbe` build: store rows grouped by their build-path value,
+/// each group in scan order.
+type ProbeTable = HashMap<Value, Vec<Value>>;
+
+/// The tables of one execution, by `(source, path)`.
+type ProbeTables = HashMap<(String, String), Rc<ProbeTable>>;
+
+thread_local! {
+    /// The hash tables `HashProbe` nodes built during the current
+    /// outermost execution, keyed by `(source, path)`. Subqueries re-enter
+    /// the executor once per outer row and find the table here; it is
+    /// dropped when the outermost execution ends (see [`ProbeScope`]), so
+    /// the next query sees every commit made in between.
+    static PROBE_TABLES: std::cell::RefCell<Option<ProbeTables>> = const { std::cell::RefCell::new(None) };
+}
+
+/// Opens the probe-table cache on construction (if none is open) and
+/// drops it on drop — also on an error or cancel return — the same
+/// pattern as [`SubTraceGuard`].
+struct ProbeScope {
+    opened: bool,
+}
+
+impl ProbeScope {
+    fn enter() -> ProbeScope {
+        PROBE_TABLES.with(|t| {
+            let mut slot = t.borrow_mut();
+            let opened = slot.is_none();
+            if opened {
+                *slot = Some(HashMap::new());
+            }
+            ProbeScope { opened }
+        })
+    }
+}
+
+impl Drop for ProbeScope {
+    fn drop(&mut self) {
+        if self.opened {
+            PROBE_TABLES.with(|t| *t.borrow_mut() = None);
+        }
+    }
+}
+
+/// The hash table of `source` on `var.path`, built by one full scan on
+/// first use in the current execution. Build-path values are computed by
+/// the expression evaluator itself, so a missing field keys as `Null`
+/// and array fields map, exactly as `==` sees them.
+fn probe_table(world: &World, var: &str, source: &str, path: &Expr) -> Result<Rc<ProbeTable>> {
+    let name = (source.to_string(), crate::plan::probe_path(var, path));
+    let cached = PROBE_TABLES.with(|t| t.borrow().as_ref().and_then(|m| m.get(&name).cloned()));
+    if let Some(table) = cached {
+        return Ok(table);
+    }
+    let mut table = ProbeTable::new();
+    for row in world.scan_source(source)? {
+        cancel::tick()?;
+        let mut env = Env::new();
+        env.insert(var.to_string(), row);
+        let key = eval_expr(world, &env, path)?;
+        table.entry(key).or_default().push(env.into_innermost());
+    }
+    let table = Rc::new(table);
+    PROBE_TABLES.with(|t| {
+        if let Some(m) = t.borrow_mut().as_mut() {
+            m.insert(name, Rc::clone(&table));
+        }
+    });
+    Ok(table)
+}
+
+/// The `For` + `Filter` pair a fused scan node replaced, run when the
+/// incoming rows bind the source name: a variable (`LET orders = …`)
+/// shadows the store, and `For` iterates the variable instead.
+fn apply_unfused(
+    world: &World,
+    var: &str,
+    source: &str,
+    cond: Expr,
+    residual: &Option<Expr>,
+    envs: Vec<Env>,
+) -> Result<Vec<Env>> {
+    let pred = match residual {
+        Some(r) => Expr::Binary(BinOp::And, Box::new(cond), Box::new(r.clone())),
+        None => cond,
+    };
+    let scan = PlanNode::For { var: var.to_string(), source: Expr::Var(source.to_string()) };
+    let envs = apply_node(world, &scan, envs)?;
+    apply_node(world, &PlanNode::Filter(pred), envs)
+}
+
+/// Do the incoming rows bind `source` as a variable? All rows of one
+/// pipeline stage carry the same variable names, so the first decides.
+fn shadows(envs: &[Env], source: &str) -> bool {
+    envs.first().is_some_and(|e| e.get(source).is_some())
+}
+
 /// Take the subquery operator stats accumulated since the last drain.
 fn drain_sub_trace() -> Vec<crate::stats::OpStats> {
     SUB_TRACE.with(|t| {
@@ -222,6 +330,7 @@ pub fn execute_plan(world: &World, plan: &Plan) -> Result<Vec<Value>> {
 
 /// Execute a plan from an initial environment.
 pub fn execute_plan_with_env(world: &World, plan: &Plan, env: Env) -> Result<Vec<Value>> {
+    let _probe_tables = ProbeScope::enter();
     let mut envs = vec![env];
     // lint: allow(tick, iterates plan operators, bounded by query size; apply_node ticks per row)
     for node in &plan.nodes {
@@ -268,6 +377,7 @@ pub fn execute_plan_traced(
 ) -> Result<(Vec<Value>, crate::stats::ExecStats)> {
     use crate::stats::{ExecStats, OpStats};
     let _sub_trace = SubTraceGuard::install();
+    let _probe_tables = ProbeScope::enter();
     let started = std::time::Instant::now();
     let mut envs = vec![env];
     let mut ops: Vec<OpStats> = Vec::with_capacity(plan.nodes.len() + 1);
@@ -319,9 +429,20 @@ fn describe_access_path(world: &World, node: &PlanNode, env: Option<&Env>) -> Op
             }
         }
         PlanNode::For { .. } => Some("expression".to_string()),
+        PlanNode::IndexScan { source, .. } | PlanNode::HashProbe { source, .. }
+            if env.is_some_and(|e| e.get(source).is_some()) =>
+        {
+            Some(format!("bound variable '{source}'"))
+        }
         PlanNode::IndexScan { source, path, .. } => {
             Some(format!("index '{path}' on '{source}'"))
         }
+        PlanNode::HashProbe { var, source, path, .. } => world.resolve_source(source).map(|kind| {
+            format!(
+                "hash on '{}' over {kind} '{source}' (built once per query)",
+                crate::plan::probe_path(var, path)
+            )
+        }),
         PlanNode::Traverse { edges, .. } => {
             Some(format!("graph traversal via edge collection '{edges}'"))
         }
@@ -344,7 +465,44 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
             }
             Ok(out)
         }
-        PlanNode::IndexScan { var, source, path, lo, hi, residual } => {
+        PlanNode::IndexScan { var, source, cond, residual, .. } if shadows(&envs, source) => {
+            apply_unfused(world, var, source, cond.clone(), residual, envs)
+        }
+        PlanNode::HashProbe { var, source, path, key, residual } if shadows(&envs, source) => {
+            let cond = Expr::Binary(BinOp::Eq, Box::new(path.clone()), Box::new(key.clone()));
+            apply_unfused(world, var, source, cond, residual, envs)
+        }
+        PlanNode::HashProbe { var, source, path, key, residual } => {
+            let mut table: Option<Rc<ProbeTable>> = None;
+            let mut out = Vec::new();
+            for env in envs {
+                cancel::tick()?;
+                // Built lazily: no incoming row, no scan.
+                let table = match &table {
+                    Some(t) => t,
+                    None => table.insert(probe_table(world, var, source, path)?),
+                };
+                // Over an empty store the naive filter never evaluates
+                // the key, so neither may this (it could error).
+                if table.is_empty() {
+                    break;
+                }
+                let Some(rows) = table.get(&eval_expr(world, &env, key)?) else { continue };
+                for row in rows {
+                    cancel::tick()?;
+                    let mut e = env.clone();
+                    e.insert(var.clone(), row.clone());
+                    if let Some(res) = residual {
+                        if !eval_expr(world, &e, res)?.is_truthy() {
+                            continue;
+                        }
+                    }
+                    out.push(e);
+                }
+            }
+            Ok(out)
+        }
+        PlanNode::IndexScan { var, source, path, lo, hi, residual, .. } => {
             let lo_b = plan_bound(lo);
             let hi_b = plan_bound(hi);
             let mut out = Vec::new();
@@ -987,6 +1145,161 @@ mod tests {
         assert_eq!(
             got,
             vec![Value::array([Value::str("2724f"), Value::str("3424g")])]
+        );
+    }
+
+    /// Customers 1..=3 (table) and orders for customers 1 and 2 only.
+    fn q4_world() -> World {
+        let w = paper_world();
+        let orders = w.create_collection("purchases").unwrap();
+        for (key, cid, total) in [("a", 1, 10), ("b", 2, 5), ("c", 1, 7)] {
+            orders
+                .insert_json(&format!(r#"{{"_key":"{key}","customer_id":{cid},"total":{total}}}"#))
+                .unwrap();
+        }
+        w
+    }
+
+    const Q4: &str = "FOR c IN customers \
+        LET total = SUM((FOR o IN purchases FILTER o.customer_id == c.id RETURN o.total)) \
+        RETURN [c.id, total]";
+
+    fn full_scans(w: &World, text: &str) -> (Result<Vec<Value>>, u64) {
+        let before = w.access.full_scans();
+        let got = run(w, text);
+        (got, w.access.full_scans() - before)
+    }
+
+    fn probe_tables_open() -> bool {
+        PROBE_TABLES.with(|t| t.borrow().is_some())
+    }
+
+    #[test]
+    fn q4_shape_scans_each_store_once() {
+        let w = q4_world();
+        let (got, scans) = full_scans(&w, Q4);
+        assert_eq!(
+            got.unwrap(),
+            vec![
+                Value::array([Value::int(1), Value::int(17)]),
+                Value::array([Value::int(2), Value::int(5)]),
+                Value::array([Value::int(3), Value::int(0)]),
+            ]
+        );
+        assert_eq!(scans, 2, "customers once, purchases once — not once per customer");
+        assert!(!probe_tables_open(), "the table dies with the execution");
+    }
+
+    #[test]
+    fn zero_outer_rows_build_nothing() {
+        let w = q4_world();
+        let (got, scans) = full_scans(
+            &w,
+            "FOR c IN [] FOR o IN purchases FILTER o.customer_id == c.id RETURN o",
+        );
+        assert!(got.unwrap().is_empty());
+        assert_eq!(scans, 0);
+        let (got, scans) = full_scans(
+            &w,
+            "FOR c IN customers FILTER c.id > 99 \
+             LET t = (FOR o IN purchases FILTER o.customer_id == c.id RETURN o) RETURN t",
+        );
+        assert!(got.unwrap().is_empty());
+        assert_eq!(scans, 1, "only the customers scan");
+    }
+
+    #[test]
+    fn a_commit_between_executions_is_seen_by_the_next() {
+        let w = q4_world();
+        let q = "FOR c IN customers FOR o IN purchases FILTER o.customer_id == c.id RETURN o._key";
+        assert_eq!(run(&w, q).unwrap(), vec![Value::str("a"), Value::str("c"), Value::str("b")]);
+        w.collection("purchases")
+            .unwrap()
+            .insert_json(r#"{"_key":"d","customer_id":3,"total":1}"#)
+            .unwrap();
+        assert_eq!(
+            run(&w, q).unwrap(),
+            vec![Value::str("a"), Value::str("c"), Value::str("b"), Value::str("d")]
+        );
+    }
+
+    #[test]
+    fn an_error_mid_query_leaves_no_table_behind() {
+        let w = q4_world();
+        // The residual divides by zero on the first match, after the build.
+        let err = run(
+            &w,
+            "FOR c IN customers FOR o IN purchases FILTER o.customer_id == c.id && o.total / 0 > 1 RETURN o",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("division by zero"), "{err}");
+        assert!(!probe_tables_open());
+        // A cancelled query drops its table too.
+        let token = mmdb_types::CancelToken::new();
+        token.cancel();
+        assert!(crate::run_with(&w, Q4, &token).is_err());
+        assert!(!probe_tables_open());
+        // The next query on this thread builds afresh and sees new rows.
+        w.collection("purchases")
+            .unwrap()
+            .insert_json(r#"{"_key":"d","customer_id":3,"total":1}"#)
+            .unwrap();
+        let got = run(&w, Q4).unwrap();
+        assert_eq!(got[2], Value::array([Value::int(3), Value::int(1)]));
+    }
+
+    #[test]
+    fn an_empty_store_never_evaluates_the_probe_key() {
+        let w = q4_world();
+        w.create_collection("nothing").unwrap();
+        // `c.id / 0` would fail, but the naive filter never runs it.
+        let got = run(&w, "FOR c IN customers FOR o IN nothing FILTER o.x == c.id / 0 RETURN o").unwrap();
+        assert!(got.is_empty());
+        assert!(run(&w, "FOR c IN customers FOR o IN purchases FILTER o.x == c.id / 0 RETURN o").is_err());
+    }
+
+    #[test]
+    fn a_variable_shadowing_the_store_falls_back_to_the_naive_pair() {
+        let w = q4_world();
+        let q = "LET purchases = [{customer_id: 2, total: 100}] \
+                 FOR c IN customers FOR o IN purchases FILTER o.customer_id == c.id RETURN o.total";
+        let plan = crate::optimize::optimize(build_plan(&crate::parse_query(q).unwrap()).unwrap(), &w);
+        assert!(plan.explain().contains("HashProbe"), "{}", plan.explain());
+        let (got, scans) = full_scans(&w, q);
+        assert_eq!(got.unwrap(), vec![Value::int(100)]);
+        assert_eq!(scans, 1, "the LET, not the store");
+        let (_, stats) = crate::run_traced(&w, q, &mmdb_types::CancelToken::none()).unwrap();
+        assert!(stats.access_paths().contains(&"bound variable 'purchases'"), "{:?}", stats.access_paths());
+    }
+
+    #[test]
+    fn a_variable_shadowing_an_indexed_store_is_what_index_scan_reads() {
+        let w = World::in_memory();
+        let c = w.create_collection("products").unwrap();
+        for i in 6..10 {
+            c.insert_json(&format!(r#"{{"_key":"p{i}","price":{i}}}"#)).unwrap();
+        }
+        let q = "LET products = [{price: 100}, {price: 1}] FOR p IN products FILTER p.price > 5 RETURN p.price";
+        assert_eq!(run(&w, q).unwrap(), vec![Value::int(100)]);
+        c.create_persistent_index("price").unwrap();
+        let plan = crate::optimize::optimize(build_plan(&crate::parse_query(q).unwrap()).unwrap(), &w);
+        assert!(plan.explain().contains("IndexScan"), "{}", plan.explain());
+        assert_eq!(run(&w, q).unwrap(), vec![Value::int(100)], "the LET shadows the store");
+        let (_, stats) = crate::run_traced(&w, q, &mmdb_types::CancelToken::none()).unwrap();
+        assert!(stats.access_paths().contains(&"bound variable 'products'"), "{:?}", stats.access_paths());
+    }
+
+    #[test]
+    fn explain_analyze_names_the_hash_probe_once_per_query() {
+        let w = q4_world();
+        let (_, stats) = crate::run_traced(&w, Q4, &mmdb_types::CancelToken::none()).unwrap();
+        let probe: Vec<&crate::stats::OpStats> =
+            stats.ops.iter().filter(|o| o.op.contains("HashProbe o IN purchases ON customer_id")).collect();
+        assert_eq!(probe.len(), 1, "{}", stats.render());
+        assert_eq!(probe[0].rows_in, 3, "one probe per customer");
+        assert_eq!(
+            probe[0].access_path.as_deref(),
+            Some("hash on 'customer_id' over document-collection 'purchases' (built once per query)")
         );
     }
 }

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Pipeline: [`lex`] → [`parse`] → [`plan`] (logical operators) →
-//! [`optimize`] (predicate pushdown + index selection) → [`exec`]
+//! [`optimize`] (filter merging, index selection, decorrelation) → [`exec`]
 //! (bindings interpreter over a [`world::World`] of model stores).
 //! [`sql`] is a second frontend: a SQL `SELECT` subset compiling onto the
 //! same logical plan, demonstrating the "one algebra, many syntaxes"

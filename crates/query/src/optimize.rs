@@ -12,6 +12,19 @@
 //!    (document) or secondary (relational) index; leftover conjuncts stay
 //!    as the scan's residual predicate. This is the tutorial's
 //!    "query optimization = pick the right index" story in miniature.
+//! 4. **Decorrelation into a hash probe** — where rule 3 finds no index,
+//!    a `For` over a collection or table immediately followed by a
+//!    `Filter` whose *first* conjunct is `var.path == e` (either way
+//!    round), with `e` reading at least one other variable, never `var`,
+//!    and no subquery, becomes a `HashProbe`. The executor scans the
+//!    store once per query into a hash table on `var.path` and probes it
+//!    with `e` per incoming row, so a correlated subquery such as
+//!    `SUM((FOR o IN orders FILTER o.customer_id == c.id RETURN o.total))`
+//!    or a store join (`FOR c IN customers FOR o IN orders FILTER
+//!    o.customer_id == c.id`, and SQL `JOIN … ON`, which lowers to that)
+//!    costs one scan instead of one per outer row. Keeping the key
+//!    conjunct first means the residual runs on exactly the rows the
+//!    naive `&&` short-circuit reaches, so answers and errors match.
 
 use mmdb_types::Value;
 
@@ -53,15 +66,17 @@ pub fn optimize(mut plan: Plan, world: &World) -> Plan {
         }
     }
 
-    // 3. Index selection on For+Filter pairs.
+    // 3–4. Index selection, else decorrelation, on For+Filter pairs.
     let mut out: Vec<PlanNode> = Vec::with_capacity(merged.len());
     let mut iter = merged.into_iter().peekable();
     while let Some(node) = iter.next() {
         if let PlanNode::For { var, source: Expr::Var(name) } = &node {
             if let Some(PlanNode::Filter(pred)) = iter.peek() {
-                if let Some(scan) = try_index_scan(world, var, name, pred) {
+                let fused = try_index_scan(world, var, name, pred)
+                    .or_else(|| try_hash_probe(world, var, name, pred));
+                if let Some(fused) = fused {
                     iter.next(); // consume the filter
-                    out.push(scan);
+                    out.push(fused);
                     continue;
                 }
             }
@@ -107,6 +122,7 @@ fn try_index_scan(world: &World, var: &str, source: &str, pred: &Expr) -> Option
         }
     }
     let (idx, pc) = chosen?;
+    let cond = conjuncts[idx].clone();
     let (lo, hi) = match pc.op {
         BinOp::Eq => (PlanBound::Included(pc.value.clone()), PlanBound::Included(pc.value)),
         BinOp::Lt => (PlanBound::Unbounded, PlanBound::Excluded(pc.value)),
@@ -116,20 +132,72 @@ fn try_index_scan(world: &World, var: &str, source: &str, pred: &Expr) -> Option
         _ => return None,
     };
     // Rebuild the residual from the remaining conjuncts.
-    let residual = conjuncts
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| *i != idx)
-        .map(|(_, e)| e.clone())
-        .reduce(|a, b| Expr::Binary(BinOp::And, Box::new(a), Box::new(b)));
+    let rest = conjuncts.into_iter().enumerate().filter(|(i, _)| *i != idx).map(|(_, e)| e);
+    let residual = conjoin(rest);
     Some(PlanNode::IndexScan {
         var: var.to_string(),
         source: source.to_string(),
         path: pc.path,
         lo,
         hi,
+        cond,
         residual,
     })
+}
+
+fn try_hash_probe(world: &World, var: &str, source: &str, pred: &Expr) -> Option<PlanNode> {
+    // Only stores scan_source reads as rows: collections and tables.
+    if world.collection(source).is_err() && world.catalog.table(source).is_err() {
+        return None;
+    }
+    let mut conjuncts = Vec::new();
+    split_conjuncts(pred, &mut conjuncts);
+    let Expr::Binary(BinOp::Eq, l, r) = *conjuncts.first()? else { return None };
+    let is_path = |e: &Expr| path_of(e, var).is_some_and(|p| !p.is_empty());
+    let (path, key) = if is_path(l) && is_correlated(r, var) {
+        (l, r)
+    } else if is_path(r) && is_correlated(l, var) {
+        (r, l)
+    } else {
+        return None;
+    };
+    Some(PlanNode::HashProbe {
+        var: var.to_string(),
+        source: source.to_string(),
+        path: (**path).clone(),
+        key: (**key).clone(),
+        residual: conjoin(conjuncts.into_iter().skip(1)),
+    })
+}
+
+/// Does `e` read at least one variable, never `var`, and contain no
+/// subquery? Then its value is the same for every row `var` ranges over.
+fn is_correlated(e: &Expr, var: &str) -> bool {
+    let mut vars = Vec::new();
+    free_vars(e, &mut vars) && !vars.is_empty() && !vars.contains(&var)
+}
+
+/// Collect the variables `e` reads; `false` when it contains a subquery
+/// (whose scoping this walk does not model).
+fn free_vars<'e>(e: &'e Expr, out: &mut Vec<&'e str>) -> bool {
+    match e {
+        Expr::Literal(_) => true,
+        Expr::Var(v) => {
+            out.push(v);
+            true
+        }
+        Expr::Subquery(_) => false,
+        Expr::Field(b, _) | Expr::Spread(b) | Expr::Not(b) | Expr::Neg(b) => free_vars(b, out),
+        Expr::Index(a, b) | Expr::Binary(_, a, b) => free_vars(a, out) && free_vars(b, out),
+        Expr::Ternary(c, a, b) => free_vars(c, out) && free_vars(a, out) && free_vars(b, out),
+        Expr::Call(_, items) | Expr::Array(items) => items.iter().all(|i| free_vars(i, out)),
+        Expr::Object(fields) => fields.iter().all(|(_, v)| free_vars(v, out)),
+    }
+}
+
+/// Left-deep `&&` of the conjuncts, in order; `None` when there are none.
+fn conjoin<'e>(conjuncts: impl Iterator<Item = &'e Expr>) -> Option<Expr> {
+    conjuncts.cloned().reduce(|a, b| Expr::Binary(BinOp::And, Box::new(a), Box::new(b)))
 }
 
 fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
@@ -166,7 +234,9 @@ fn flip(op: BinOp) -> Option<BinOp> {
     })
 }
 
-fn path_of(e: &Expr, var: &str) -> Option<String> {
+/// The dotted path of a field/constant-index chain rooted at `var`
+/// (`""` for `var` itself), or `None` for any other expression.
+pub(crate) fn path_of(e: &Expr, var: &str) -> Option<String> {
     match e {
         Expr::Var(v) if v == var => Some(String::new()),
         Expr::Field(base, name) => {
@@ -430,5 +500,72 @@ mod tests {
         let q = parse_query("FOR c IN customers FILTER c.credit_limit > 3000 RETURN c").unwrap();
         let plan = optimize(build_plan(&q).unwrap(), &w);
         assert!(matches!(&plan.nodes[0], PlanNode::IndexScan { source, .. } if source == "customers"));
+    }
+
+    fn orders_world() -> World {
+        let w = World::in_memory();
+        let c = w.create_collection("orders").unwrap();
+        c.insert_json(r#"{"_key":"o1","customer_id":1,"total":5}"#).unwrap();
+        w.kv.create_bucket("cart").unwrap();
+        w
+    }
+
+    fn plan_for(w: &World, text: &str) -> Plan {
+        optimize(build_plan(&parse_query(text).unwrap()).unwrap(), w)
+    }
+
+    #[test]
+    fn correlated_equality_becomes_a_hash_probe() {
+        let w = orders_world();
+        for text in [
+            "FOR c IN [1] FOR o IN orders FILTER o.customer_id == c.id && o.total > 1 RETURN o",
+            "FOR c IN [1] FOR o IN orders FILTER c.id == o.customer_id && o.total > 1 RETURN o",
+        ] {
+            let plan = plan_for(&w, text);
+            assert_eq!(plan.nodes.len(), 2, "{}", plan.explain());
+            match &plan.nodes[1] {
+                PlanNode::HashProbe { var, source, path, key, residual } => {
+                    assert_eq!((var.as_str(), source.as_str()), ("o", "orders"));
+                    assert_eq!(path, &Expr::var("o").field("customer_id"));
+                    assert_eq!(key, &Expr::var("c").field("id"));
+                    assert!(residual.is_some(), "the total conjunct stays as residual");
+                }
+                other => panic!("expected HashProbe, got {other:?}"),
+            }
+            assert!(plan.explain().contains("HashProbe o IN orders ON customer_id residual=true"));
+        }
+    }
+
+    #[test]
+    fn the_hash_probe_needs_the_exact_pattern() {
+        let w = orders_world();
+        for text in [
+            // The key conjunct is not first.
+            "FOR c IN [1] FOR o IN orders FILTER o.total > 1 && o.customer_id == c.id RETURN o",
+            // The key reads the loop variable.
+            "FOR o IN orders FILTER o.customer_id == o.total RETURN o",
+            // The key reads no variable.
+            "FOR o IN orders FILTER o.customer_id == 1 RETURN o",
+            // The key holds a subquery.
+            "FOR c IN [1] FOR o IN orders FILTER o.customer_id == LENGTH((FOR x IN [c] RETURN x)) RETURN o",
+            // Not an equality.
+            "FOR c IN [1] FOR o IN orders FILTER o.customer_id >= c.id RETURN o",
+            // The whole row, not a path of it.
+            "FOR c IN [1] FOR o IN orders FILTER o == c RETURN o",
+            // Not a collection or table.
+            "FOR c IN [1] FOR e IN cart FILTER e._key == c RETURN e",
+            "FOR c IN [1] FOR x IN nosuchstore FILTER x.a == c RETURN x",
+        ] {
+            let plan = plan_for(&w, text);
+            assert!(!plan.explain().contains("HashProbe"), "{text}\n{}", plan.explain());
+        }
+    }
+
+    #[test]
+    fn a_literal_bound_index_scan_keeps_priority() {
+        let w = orders_world();
+        w.collection("orders").unwrap().create_persistent_index("total").unwrap();
+        let plan = plan_for(&w, "FOR c IN [1] FOR o IN orders FILTER o.customer_id == c.id && o.total == 5 RETURN o");
+        assert!(matches!(&plan.nodes[1], PlanNode::IndexScan { path, .. } if path == "total"), "{}", plan.explain());
     }
 }

@@ -43,7 +43,28 @@ pub enum PlanNode {
         lo: PlanBound,
         /// Upper bound.
         hi: PlanBound,
+        /// The conjunct the index serves (`var.path op literal`); evaluated
+        /// only when a variable shadows `source` at runtime and the node
+        /// falls back to the `For` + `Filter` pair it replaced.
+        cond: Expr,
         /// Remaining predicate conjuncts, re-checked per row.
+        residual: Option<Expr>,
+    },
+    /// Equality-correlated store scan, produced by the optimizer from
+    /// `For var IN <store>` + a `Filter` whose first conjunct is
+    /// `var.path == key` with `key` reading outer variables. The store is
+    /// scanned once per query into a hash table on `var.path`; each
+    /// incoming row evaluates `key` and takes the matching group.
+    HashProbe {
+        /// Loop variable.
+        var: String,
+        /// Collection/table name.
+        source: String,
+        /// The build side: a field/index chain rooted at `var`.
+        path: Expr,
+        /// The probe side, evaluated once per incoming row.
+        key: Expr,
+        /// Remaining predicate conjuncts, re-checked per matched row.
         residual: Option<Expr>,
     },
     /// Graph traversal.
@@ -107,8 +128,13 @@ impl PlanNode {
     pub fn describe(&self) -> String {
         match self {
             PlanNode::For { var, source } => format!("For {var} IN {source:?}"),
-            PlanNode::IndexScan { var, source, path, lo, hi, residual } => format!(
+            PlanNode::IndexScan { var, source, path, lo, hi, residual, .. } => format!(
                 "IndexScan {var} IN {source} ON {path} [{lo:?}, {hi:?}] residual={}",
+                residual.is_some()
+            ),
+            PlanNode::HashProbe { var, source, path, residual, .. } => format!(
+                "HashProbe {var} IN {source} ON {} residual={}",
+                probe_path(var, path),
                 residual.is_some()
             ),
             PlanNode::Traverse { var, min_depth, max_depth, direction, edges, .. } => {
@@ -125,6 +151,12 @@ impl PlanNode {
             ),
         }
     }
+}
+
+/// The dotted form of a `HashProbe` build path (`customer_id`,
+/// `address.city`): its `EXPLAIN` name and its hash table's key.
+pub(crate) fn probe_path(var: &str, path: &Expr) -> String {
+    crate::optimize::path_of(path, var).unwrap_or_default()
 }
 
 impl Plan {

@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 
-use mmdb_query::{parse_query, run, World};
+use mmdb_query::exec::execute_plan;
+use mmdb_query::optimize::optimize;
+use mmdb_query::plan::{build_plan, Plan};
+use mmdb_query::{parse_query, run, run_sql, World};
 use mmdb_types::Value;
 
 fn world_with(values: &[i64]) -> World {
@@ -19,8 +22,89 @@ fn world_with(values: &[i64]) -> World {
     w
 }
 
+/// Join-key values that stress hash/`==` agreement: ints, an integral
+/// float equal to an int, a non-integral float, strings (one spelling an
+/// int), `null`, and — as `None` — a missing field.
+fn join_key(choice: usize) -> Option<Value> {
+    match choice {
+        0 => Some(Value::int(1)),
+        1 => Some(Value::int(2)),
+        2 => Some(Value::float(1.0)),
+        3 => Some(Value::float(2.5)),
+        4 => Some(Value::str("1")),
+        5 => Some(Value::str("a")),
+        6 => Some(Value::Null),
+        _ => None,
+    }
+}
+
+/// `cs` (customers keyed by `id`) and `orders` (`cid`, `amt`), each doc
+/// in the order given.
+fn join_world(customers: &[usize], orders: &[(usize, i64)]) -> World {
+    let w = World::in_memory();
+    let cs = w.create_collection("cs").unwrap();
+    for (i, k) in customers.iter().enumerate() {
+        let mut fields = vec![("_key".to_string(), Value::str(format!("c{i:03}")))];
+        fields.extend(join_key(*k).map(|v| ("id".to_string(), v)));
+        cs.insert(Value::object(fields)).unwrap();
+    }
+    let os = w.create_collection("orders").unwrap();
+    for (i, (k, amt)) in orders.iter().enumerate() {
+        let mut fields = vec![
+            ("_key".to_string(), Value::str(format!("o{i:03}"))),
+            ("amt".to_string(), Value::int(*amt)),
+        ];
+        fields.extend(join_key(*k).map(|v| ("cid".to_string(), v)));
+        os.insert(Value::object(fields)).unwrap();
+    }
+    w
+}
+
+fn has_hash_probe(plan: &Plan) -> bool {
+    plan.explain().contains("HashProbe")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The hash probe answers exactly as the naive nested loop: a
+    /// correlated subquery (against a plain-Rust reference, since the
+    /// executor optimizes subqueries as it meets them), a top-level join
+    /// written key-first, and a SQL `JOIN … ON` (each against its
+    /// unoptimized plan).
+    #[test]
+    fn hash_probe_equals_the_naive_plan(
+        customers in prop::collection::vec(0usize..8, 0..6),
+        orders in prop::collection::vec((0usize..8, 0i64..5), 0..12),
+        t in 0i64..5,
+    ) {
+        let w = join_world(&customers, &orders);
+
+        let text = format!(
+            "FOR c IN cs LET t = (FOR o IN orders FILTER o.cid == c.id && o.amt > {t} RETURN o._key) \
+             RETURN [c._key, t]"
+        );
+        let want: Vec<Value> = w.scan_source("cs").unwrap().iter().map(|c| {
+            let hits = w.scan_source("orders").unwrap().into_iter()
+                .filter(|o| o.get_field("cid") == c.get_field("id") && o.get_field("amt") > &Value::int(t))
+                .map(|o| o.get_field("_key").clone());
+            Value::array([c.get_field("_key").clone(), Value::Array(hits.collect())])
+        }).collect();
+        prop_assert_eq!(run(&w, &text).unwrap(), want);
+
+        let join = parse_query(
+            "FOR c IN cs FOR o IN orders FILTER c.id == o.cid && o.amt != 3 RETURN [c._key, o._key]",
+        ).unwrap();
+        let naive = build_plan(&join).unwrap();
+        let fused = optimize(naive.clone(), &w);
+        prop_assert!(has_hash_probe(&fused), "{}", fused.explain());
+        prop_assert_eq!(execute_plan(&w, &fused).unwrap(), execute_plan(&w, &naive).unwrap());
+
+        let sql = "SELECT c._key AS c, o._key AS o, o.amt AS amt FROM cs c JOIN orders o ON o.cid = c.id";
+        let naive = build_plan(&mmdb_query::sql::parse_sql(sql).unwrap()).unwrap();
+        prop_assert!(has_hash_probe(&optimize(naive.clone(), &w)));
+        prop_assert_eq!(run_sql(&w, sql).unwrap(), execute_plan(&w, &naive).unwrap());
+    }
 
     /// FILTER over a collection equals Rust's filter.
     #[test]

@@ -31,7 +31,7 @@ pub mod wal;
 pub use buffer::BufferPool;
 pub use disk::{DiskManager, PageId, PAGE_SIZE};
 pub use heap::{HeapFile, RecordId};
-pub use snapshot::SnapshotEntry;
+pub use snapshot::{Snapshot, SnapshotEntry};
 pub use wal::{Lsn, TailedRecord, Wal, WalRecord};
 
 /// Every failpoint site this crate declares (see `mmdb-fault`). The

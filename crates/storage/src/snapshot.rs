@@ -14,10 +14,14 @@
 //! and removed on the next open).
 //!
 //! Layout: `magic (8) | crc32 (4) | body`, where `body` is
-//! `snapshot_lsn: u64 | count: u64 | count × entry` and each entry is
-//! `domain_len: u32 | domain | key_len: u32 | key | value_len: u32 |
-//! value` (all little-endian). Only live values appear — a snapshot has
-//! no tombstones, deletes exist only in the log.
+//! `snapshot_lsn: u64 | next_txid: u64 | count: u64 | count × entry` and
+//! each entry is `domain_len: u32 | domain | key_len: u32 | key |
+//! value_len: u32 | value` (all little-endian). Only live values appear —
+//! a snapshot has no tombstones, deletes exist only in the log.
+//! `next_txid` is the transaction-id high-water mark: the truncated log
+//! prefix took the ids it used with it, and keys generated from them
+//! (`"{txid}-{n}"`) must not repeat after a restart. Version-1 files
+//! (magic `MMDBSNP1`) lack the field and still load, with `next_txid` 0.
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -33,7 +37,19 @@ pub const SNAPSHOT_FILE: &str = "mmdb.snapshot";
 /// File name of the in-flight snapshot (renamed over [`SNAPSHOT_FILE`]).
 pub const SNAPSHOT_TMP_FILE: &str = "mmdb.snapshot.tmp";
 
-const SNAPSHOT_MAGIC: [u8; 8] = *b"MMDBSNP1";
+const SNAPSHOT_MAGIC: [u8; 8] = *b"MMDBSNP2";
+const SNAPSHOT_MAGIC_V1: [u8; 8] = *b"MMDBSNP1";
+
+/// A loaded snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Snapshot {
+    /// The WAL LSN the snapshot captures.
+    pub lsn: Lsn,
+    /// Lowest transaction id never handed out when the snapshot was taken.
+    pub next_txid: u64,
+    /// Live engine state.
+    pub entries: Vec<SnapshotEntry>,
+}
 
 /// One live (domain, key, value) triple of engine state. The same shape
 /// the WAL's redo ops carry, so snapshot load reuses the recovery
@@ -52,9 +68,10 @@ fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
 }
 
-fn encode_body(snapshot_lsn: Lsn, entries: &[SnapshotEntry]) -> Vec<u8> {
+fn encode_body(snapshot_lsn: Lsn, next_txid: u64, entries: &[SnapshotEntry]) -> Vec<u8> {
     let mut b = Vec::new();
     b.extend_from_slice(&snapshot_lsn.to_le_bytes());
+    b.extend_from_slice(&next_txid.to_le_bytes());
     b.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for e in entries {
         b.extend_from_slice(&(e.domain.len() as u32).to_le_bytes());
@@ -70,8 +87,13 @@ fn encode_body(snapshot_lsn: Lsn, entries: &[SnapshotEntry]) -> Vec<u8> {
 /// Write a snapshot of `entries` at `snapshot_lsn` into `dir`,
 /// crash-safely (write-temp + fsync + atomic rename + dir fsync).
 /// Returns the snapshot's size in bytes.
-pub fn write_snapshot(dir: &Path, snapshot_lsn: Lsn, entries: &[SnapshotEntry]) -> Result<u64> {
-    let body = encode_body(snapshot_lsn, entries);
+pub fn write_snapshot(
+    dir: &Path,
+    snapshot_lsn: Lsn,
+    next_txid: u64,
+    entries: &[SnapshotEntry],
+) -> Result<u64> {
+    let body = encode_body(snapshot_lsn, next_txid, entries);
     let mut framed = Vec::with_capacity(body.len() + 12);
     framed.extend_from_slice(&SNAPSHOT_MAGIC);
     framed.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -115,7 +137,7 @@ pub fn write_snapshot(dir: &Path, snapshot_lsn: Lsn, entries: &[SnapshotEntry]) 
 /// Load the snapshot from `dir`. `Ok(None)` when no snapshot exists;
 /// [`Error::Corruption`] when one exists but fails its integrity checks
 /// (a published snapshot is never torn, so that is real corruption).
-pub fn read_snapshot(dir: &Path) -> Result<Option<(Lsn, Vec<SnapshotEntry>)>> {
+pub fn load_snapshot(dir: &Path) -> Result<Option<Snapshot>> {
     let mut data = Vec::new();
     match File::open(snapshot_path(dir)) {
         Ok(mut f) => {
@@ -126,9 +148,10 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<(Lsn, Vec<SnapshotEntry>)>> {
         Err(e) => return Err(Error::Storage(format!("open snapshot: {e}"))),
     }
     let corrupt = |why: &str| Error::Corruption(format!("snapshot: {why}"));
-    if data.len() < 12 || data[..8] != SNAPSHOT_MAGIC {
+    if data.len() < 12 || (data[..8] != SNAPSHOT_MAGIC && data[..8] != SNAPSHOT_MAGIC_V1) {
         return Err(corrupt("bad magic"));
     }
+    let has_next_txid = data[..8] == SNAPSHOT_MAGIC;
     let crc = u32::from_le_bytes(data[8..12].try_into().unwrap_or([0; 4]));
     let body = &data[12..];
     if crc32(body) != crc {
@@ -147,6 +170,8 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<(Lsn, Vec<SnapshotEntry>)>> {
     let u64_at = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap_or([0; 8]));
     let u32_at = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap_or([0; 4]));
     let snapshot_lsn = u64_at(take(&mut buf, 8).ok_or_else(short)?);
+    let next_txid =
+        if has_next_txid { u64_at(take(&mut buf, 8).ok_or_else(short)?) } else { 0 };
     let count = u64_at(take(&mut buf, 8).ok_or_else(short)?) as usize;
     let mut entries = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
@@ -163,7 +188,13 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<(Lsn, Vec<SnapshotEntry>)>> {
     if !buf.is_empty() {
         return Err(corrupt("trailing bytes"));
     }
-    Ok(Some((snapshot_lsn, entries)))
+    Ok(Some(Snapshot { lsn: snapshot_lsn, next_txid, entries }))
+}
+
+/// [`load_snapshot`] without the transaction-id high-water mark: the
+/// snapshot LSN and the live entries.
+pub fn read_snapshot(dir: &Path) -> Result<Option<(Lsn, Vec<SnapshotEntry>)>> {
+    Ok(load_snapshot(dir)?.map(|s| (s.lsn, s.entries)))
 }
 
 /// Remove a leftover in-flight snapshot (a crash between write and
@@ -208,24 +239,23 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let dir = fresh_dir("rt");
-        assert_eq!(read_snapshot(&dir).unwrap(), None);
-        let wrote = write_snapshot(&dir, 4242, &entries()).unwrap();
+        assert_eq!(load_snapshot(&dir).unwrap(), None);
+        let wrote = write_snapshot(&dir, 4242, 17, &entries()).unwrap();
         assert!(wrote > 12);
-        let (lsn, got) = read_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(lsn, 4242);
-        assert_eq!(got, entries());
+        let got = load_snapshot(&dir).unwrap().unwrap();
+        assert_eq!(got, Snapshot { lsn: 4242, next_txid: 17, entries: entries() });
+        assert_eq!(read_snapshot(&dir).unwrap(), Some((4242, entries())));
         // A newer snapshot atomically replaces the old one.
-        write_snapshot(&dir, 9000, &entries()[..1]).unwrap();
-        let (lsn, got) = read_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(lsn, 9000);
-        assert_eq!(got.len(), 1);
+        write_snapshot(&dir, 9000, 30, &entries()[..1]).unwrap();
+        let got = load_snapshot(&dir).unwrap().unwrap();
+        assert_eq!((got.lsn, got.next_txid, got.entries.len()), (9000, 30, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_snapshot_is_a_typed_error() {
         let dir = fresh_dir("corrupt");
-        write_snapshot(&dir, 1, &entries()).unwrap();
+        write_snapshot(&dir, 1, 1, &entries()).unwrap();
         let path = dir.join(SNAPSHOT_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
         let n = bytes.len();
@@ -238,9 +268,24 @@ mod tests {
     }
 
     #[test]
+    fn version_1_snapshots_still_load() {
+        let dir = fresh_dir("v1");
+        let mut body = Vec::new();
+        body.extend_from_slice(&5u64.to_le_bytes());
+        body.extend_from_slice(&0u64.to_le_bytes());
+        let mut framed = SNAPSHOT_MAGIC_V1.to_vec();
+        framed.extend_from_slice(&crc32(&body).to_le_bytes());
+        framed.extend_from_slice(&body);
+        std::fs::write(dir.join(SNAPSHOT_FILE), framed).unwrap();
+        let got = load_snapshot(&dir).unwrap().unwrap();
+        assert_eq!(got, Snapshot { lsn: 5, next_txid: 0, entries: Vec::new() });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stale_tmp_is_ignored_and_removable() {
         let dir = fresh_dir("tmp");
-        write_snapshot(&dir, 7, &entries()).unwrap();
+        write_snapshot(&dir, 7, 1, &entries()).unwrap();
         std::fs::write(dir.join(SNAPSHOT_TMP_FILE), b"half-written garbage").unwrap();
         let (lsn, _) = read_snapshot(&dir).unwrap().unwrap();
         assert_eq!(lsn, 7, "a leftover tmp never shadows the published snapshot");

@@ -784,11 +784,27 @@ impl MvccStore {
         self.apply_replicated(&combined)
     }
 
+    /// Lowest transaction id not yet handed out. A checkpoint persists it
+    /// next to the snapshot, because truncating the log discards the
+    /// records that would otherwise carry the ids already used.
+    pub fn next_txid(&self) -> u64 {
+        self.inner.next_txid.load(Ordering::SeqCst)
+    }
+
+    /// Never hand out a transaction id below `floor` (restores a
+    /// snapshot's high-water mark on open).
+    pub fn advance_txids(&self, floor: u64) {
+        self.inner.next_txid.fetch_max(floor, Ordering::SeqCst);
+    }
+
     /// Apply WAL recovery output: reinstall the committed writes of the
     /// log (used at startup). Fires commit hooks so model stores rebuild.
+    /// New transactions get ids above every id in the log, so keys
+    /// generated from them (`"{txid}-{n}"`) cannot repeat recovered ones.
     pub fn recover(&self, recovery: &wal::Recovery) -> Result<usize> {
         let mut by_txn: Vec<CommittedWrite> = Vec::new();
         for op in &recovery.redo {
+            self.advance_txids(op.txid + 1);
             let value = op.value.as_deref().map(value_from_bytes).transpose()?;
             by_txn.push(CommittedWrite { domain: op.domain.clone(), key: op.key.clone(), value });
         }

@@ -62,6 +62,12 @@ echo "==> unibench smoke run (tiny scale factor)"
 # data, and completes every workload end to end.
 cargo run -q --release -p mmdb-bench --bin unibench -- --scale 0.05 --workload all --seed 21
 
+echo "==> perfbench tests (the benchmark is its own workspace; builds it against this engine)"
+# The root workspace never compiles perfbench/, so an engine API change
+# that breaks the benchmark would otherwise surface only when the
+# benchmark runs. This builds it and runs its unit and smoke tests.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> workload C multi-writer smoke (group commit, 1 vs 8 writers)"
 # Also not a performance gate — proves the concurrent write path drives
 # the group-commit sequencer end to end and emits its BENCH lines.

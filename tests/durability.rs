@@ -163,3 +163,97 @@ fn updates_and_deletes_recover_in_order() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One new-order per call, shaped like UniBench's: an order document, the
+/// customer's cart entry, a `bought` edge with a generated key, and the
+/// customer's credit-limit debit.
+fn place_order(db: &Database, order_no: usize, customer: i64) {
+    db.transact(IsolationLevel::Snapshot, 3, |s| {
+        s.insert_document(
+            "orders",
+            Value::object([
+                ("_key", Value::str(format!("o{order_no}"))),
+                ("customer_id", Value::int(customer)),
+                ("total", Value::int(10)),
+            ]),
+        )?;
+        s.kv_put("cart", &customer.to_string(), Value::str(format!("o{order_no}")))?;
+        let person = format!("persons/{customer}");
+        s.add_edge("social", "bought", &person, &person, Value::object([("order_no", Value::int(order_no as i64))]))?;
+        let mut row = s.get_row("customers", &Value::int(customer))?.expect("customer row");
+        let limit = row.get_field("credit_limit").as_int()?;
+        row.as_object_mut()?.insert("credit_limit", Value::int(limit - 10));
+        s.update_row("customers", row)
+    })
+    .unwrap();
+}
+
+/// Every order placed so far is visible to queries, once each, and every
+/// customer's credit limit reflects exactly its orders.
+fn assert_all_orders_visible(db: &Database, orders: usize, customers: i64) {
+    let keys = db.query("FOR o IN orders RETURN o._key").unwrap();
+    assert_eq!(keys.len(), orders, "orders visible to queries");
+    let graph = db.world().graph("social").unwrap();
+    assert_eq!(graph.edge_count(), orders, "one bought edge per order");
+    for c in 1..=customers {
+        let placed = (0..orders).filter(|i| (*i as i64) % customers + 1 == c).count() as i64;
+        let got = db.query(&format!("FOR c IN customers FILTER c.id == {c} RETURN c.credit_limit")).unwrap();
+        assert_eq!(got, vec![Value::int(1_000 - 10 * placed)], "customer {c}'s credit limit");
+    }
+}
+
+fn write_reopen_write_reopen(tag: &str, checkpoint: bool) {
+    use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
+    const N: usize = 40;
+    const CUSTOMERS: i64 = 4;
+    let dir = tmpdir(tag);
+    {
+        let db = Database::open(&dir).unwrap();
+        db.create_table(
+            "customers",
+            Schema::new(
+                vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("credit_limit", DataType::Int)],
+                "id",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        db.transact(IsolationLevel::Snapshot, 3, |s| {
+            for c in 1..=CUSTOMERS {
+                s.insert_row("customers", Value::object([("id", Value::int(c)), ("credit_limit", Value::int(1_000))]))?;
+                s.add_vertex("social", "persons", Value::object([("_key", Value::str(c.to_string()))]))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        for i in 0..N {
+            place_order(&db, i, i as i64 % CUSTOMERS + 1);
+        }
+        if checkpoint {
+            db.checkpoint().unwrap();
+        }
+    }
+    {
+        let db = Database::open(&dir).unwrap();
+        assert_all_orders_visible(&db, N, CUSTOMERS);
+        for i in N..2 * N {
+            place_order(&db, i, i as i64 % CUSTOMERS + 1);
+        }
+        assert_all_orders_visible(&db, 2 * N, CUSTOMERS);
+    }
+    {
+        let db = Database::open(&dir).unwrap();
+        assert_all_orders_visible(&db, 2 * N, CUSTOMERS);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn writes_after_a_reopen_survive_the_next_reopen() {
+    write_reopen_write_reopen("rewrite", false);
+}
+
+#[test]
+fn writes_after_a_checkpointed_reopen_survive_the_next_reopen() {
+    write_reopen_write_reopen("rewrite-ckpt", true);
+}

@@ -224,3 +224,42 @@ fn slowlog_size_zero_disables_recording() {
 
     server.shutdown().unwrap();
 }
+
+#[test]
+fn explain_analyze_shows_the_naive_q4_decorrelated_into_one_hash_build() {
+    let (db, server, addr) = start(ServerConfig::default());
+    for (key, customer, total) in [("o1", 1, 10), ("o2", 2, 20), ("o3", 1, 5)] {
+        db.insert_json(
+            "orders",
+            &format!(r#"{{"_key":"{key}","customer_id":{customer},"total":{total}}}"#),
+        )
+        .unwrap();
+    }
+    // UniBench Q4 as a user writes it: a correlated subquery per customer.
+    let q4 = "FOR c IN customers \
+              LET total = SUM((FOR o IN orders FILTER o.customer_id == c.id RETURN o.total)) \
+              SORT c.id RETURN [c.id, total]";
+    let mut client = Client::connect(&addr).unwrap();
+    let scans_before = db.world().access.full_scans();
+    let report = client.explain_analyze(q4).unwrap();
+    assert_eq!(db.world().access.full_scans() - scans_before, 2, "customers once, orders once");
+    // One probe per customer, folded into one profile line; three orders
+    // match in all.
+    let probe: Vec<&str> = report.lines().filter(|l| l.contains("HashProbe")).collect();
+    assert_eq!(probe.len(), 1, "{report}");
+    assert!(probe[0].contains("HashProbe o IN orders ON customer_id"), "{report}");
+    assert!(
+        probe[0].contains("[hash on 'customer_id' over document-collection 'orders' (built once per query)]"),
+        "{report}"
+    );
+    assert!(probe[0].contains("rows: 3 -> 3"), "{report}");
+    assert_eq!(
+        client.query(q4).unwrap(),
+        vec![
+            Value::array([Value::int(1), Value::int(15)]),
+            Value::array([Value::int(2), Value::int(20)]),
+            Value::array([Value::int(3), Value::int(0)]),
+        ]
+    );
+    server.shutdown().unwrap();
+}
