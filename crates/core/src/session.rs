@@ -403,14 +403,13 @@ fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
             };
             match kind {
                 "v" => {
-                    if graph.vertex(&format!("{coll}/{}", String::from_utf8_lossy(&w.key))).is_err()
-                    {
+                    let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
+                    if graph.contains_vertex(&handle).is_err() {
                         graph.create_vertex_collection(coll)?;
                     }
                     match &w.value {
                         Some(doc) => {
-                            let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                            if graph.vertex(&handle)?.is_some() {
+                            if graph.contains_vertex(&handle)? {
                                 // Vertex docs update in place via the
                                 // underlying collection semantics: remove
                                 // + re-add keeps edges (no cascade here).
@@ -420,7 +419,6 @@ fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
                             }
                         }
                         None => {
-                            let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
                             graph.remove_vertex(&handle)?;
                         }
                     }
@@ -429,16 +427,15 @@ fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
                     if !graph.edge_collection_exists(coll) {
                         graph.create_edge_collection(coll)?;
                     }
-                    match &w.value {
-                        Some(doc) => {
-                            let from = doc.get_field("_from").as_str()?.to_string();
-                            let to = doc.get_field("_to").as_str()?.to_string();
-                            graph.add_edge(coll, &from, &to, doc.clone())?;
-                        }
-                        None => {
-                            let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                            graph.remove_edge(&handle)?;
-                        }
+                    let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
+                    // A put of a live edge key replaces the edge: its old
+                    // adjacency entries go with it, so a changed `_to` is
+                    // no longer reachable.
+                    graph.remove_edge(&handle)?;
+                    if let Some(doc) = &w.value {
+                        let from = doc.get_field("_from").as_str()?;
+                        let to = doc.get_field("_to").as_str()?;
+                        graph.add_edge(coll, from, to, doc.clone())?;
                     }
                 }
                 other => {

@@ -140,6 +140,12 @@ impl Collection {
         rid.map(|r| value_from_bytes(&self.heap.get(r)?)).transpose()
     }
 
+    /// Whether a document with this `_key` exists: a primary-index lookup,
+    /// no document decode.
+    pub fn contains(&self, key: &str) -> bool {
+        self.indexes.read().primary.get(&key.to_string()).is_some()
+    }
+
     /// Replace a document wholesale (the `_key` in `doc`, if present, must
     /// match).
     pub fn update(&self, key: &str, mut doc: Value) -> Result<()> {
@@ -440,6 +446,10 @@ mod tests {
             &Value::str("2724f")
         );
         assert!(c.get("missing").unwrap().is_none());
+        assert!(c.contains("0c6df508"));
+        assert!(!c.contains("missing"));
+        c.remove("0c6df508").unwrap();
+        assert!(!c.contains("0c6df508"));
     }
 
     #[test]

@@ -41,12 +41,62 @@ pub fn split_handle(h: &str) -> Result<(&str, &str)> {
         .ok_or_else(|| Error::Schema(format!("'{h}' is not a 'collection/key' handle")))
 }
 
-/// ArangoDB's edge index: two hash multimaps, `_from → edges` and
-/// `_to → edges`.
+/// A handle string the edge index shares between its entries.
+type SharedHandle = Arc<str>;
+
+/// ArangoDB's edge index: two hash multimaps, `_from → (edge, _to)` and
+/// `_to → (edge, _from)`. Each entry carries the neighbour, so adjacency
+/// is answered from the index alone, without decoding edge documents.
+/// Every handle string is stored once: an edge's handle is shared by its
+/// two entries, and a vertex's by its keys and every entry naming it.
 #[derive(Default)]
 struct EdgeIndex {
-    out: HashMap<String, Vec<EdgeHandle>>,
-    inn: HashMap<String, Vec<EdgeHandle>>,
+    out: HashMap<SharedHandle, Vec<(SharedHandle, SharedHandle)>>,
+    inn: HashMap<SharedHandle, Vec<(SharedHandle, SharedHandle)>>,
+}
+
+impl EdgeIndex {
+    /// `vertex` as a shared handle: the index's own copy when it has one.
+    fn intern(&self, vertex: &str) -> SharedHandle {
+        match self.out.get_key_value(vertex).or_else(|| self.inn.get_key_value(vertex)) {
+            Some((k, _)) => Arc::clone(k),
+            None => Arc::from(vertex),
+        }
+    }
+
+    fn insert(&mut self, edge: &str, from: &str, to: &str) {
+        let edge: SharedHandle = Arc::from(edge);
+        let (from, to) = (self.intern(from), self.intern(to));
+        let out_entry = (Arc::clone(&edge), Arc::clone(&to));
+        self.out.entry(Arc::clone(&from)).or_default().push(out_entry);
+        self.inn.entry(to).or_default().push((edge, from));
+    }
+
+    fn remove(&mut self, edge: &str, from: &str, to: &str) {
+        for (map, vertex) in [(&mut self.out, from), (&mut self.inn, to)] {
+            if let Some(list) = map.get_mut(vertex) {
+                list.retain(|(e, _)| &**e != edge);
+                if list.is_empty() {
+                    map.remove(vertex);
+                }
+            }
+        }
+    }
+
+    /// The `(edge, neighbour)` entries of `vertex` in `dir` whose edge is
+    /// in `edge_collection` (`None` = any).
+    fn incident<'a>(
+        &'a self,
+        vertex: &str,
+        dir: Direction,
+        edge_collection: Option<&'a str>,
+    ) -> impl Iterator<Item = &'a (SharedHandle, SharedHandle)> {
+        let out = matches!(dir, Direction::Outbound | Direction::Any).then(|| self.out.get(vertex));
+        let inn = matches!(dir, Direction::Inbound | Direction::Any).then(|| self.inn.get(vertex));
+        out.flatten().into_iter().chain(inn.flatten()).flatten().filter(move |(edge, _)| {
+            edge_collection.is_none_or(|ec| edge.split_once('/').is_some_and(|(c, _)| c == ec))
+        })
+    }
 }
 
 /// A named property graph.
@@ -131,6 +181,14 @@ impl Graph {
         self.vertex_collection(coll)?.get(key)
     }
 
+    /// Whether the vertex exists: a primary-index lookup, no decode.
+    /// Errors like [`Graph::vertex`] on a malformed handle or an unknown
+    /// vertex collection.
+    pub fn contains_vertex(&self, h: &str) -> Result<bool> {
+        let (coll, key) = split_handle(h)?;
+        Ok(self.vertex_collection(coll)?.contains(key))
+    }
+
     /// Replace a vertex document wholesale (edges are untouched).
     pub fn update_vertex(&self, h: &str, doc: Value) -> Result<()> {
         let (coll, key) = split_handle(h)?;
@@ -146,11 +204,10 @@ impl Graph {
         to: &str,
         mut properties: Value,
     ) -> Result<EdgeHandle> {
-        if self.vertex(from)?.is_none() {
-            return Err(Error::NotFound(format!("vertex '{from}'")));
-        }
-        if self.vertex(to)?.is_none() {
-            return Err(Error::NotFound(format!("vertex '{to}'")));
+        for endpoint in [from, to] {
+            if !self.contains_vertex(endpoint)? {
+                return Err(Error::NotFound(format!("vertex '{endpoint}'")));
+            }
         }
         let coll = self.edge_collection(collection)?;
         {
@@ -160,9 +217,7 @@ impl Graph {
         }
         let key = coll.insert(properties)?;
         let eh = handle(collection, &key);
-        let mut idx = self.edge_index.write();
-        idx.out.entry(from.to_string()).or_default().push(eh.clone());
-        idx.inn.entry(to.to_string()).or_default().push(eh.clone());
+        self.edge_index.write().insert(&eh, from, to);
         Ok(eh)
     }
 
@@ -177,17 +232,8 @@ impl Graph {
         let Some(doc) = self.edge(h)? else { return Ok(false) };
         let (coll, key) = split_handle(h)?;
         self.edge_collection(coll)?.remove(key)?;
-        let mut idx = self.edge_index.write();
-        if let Ok(from) = doc.get_field(FROM_FIELD).as_str() {
-            if let Some(v) = idx.out.get_mut(from) {
-                v.retain(|e| e != h);
-            }
-        }
-        if let Ok(to) = doc.get_field(TO_FIELD).as_str() {
-            if let Some(v) = idx.inn.get_mut(to) {
-                v.retain(|e| e != h);
-            }
-        }
+        let endpoint = |field| doc.get_field(field).as_str().unwrap_or_default();
+        self.edge_index.write().remove(h, endpoint(FROM_FIELD), endpoint(TO_FIELD));
         Ok(true)
     }
 
@@ -197,16 +243,12 @@ impl Graph {
         let (coll, key) = split_handle(h)?;
         let existed = self.vertex_collection(coll)?.remove(key)?;
         if existed {
-            let incident: Vec<EdgeHandle> = {
-                let idx = self.edge_index.read();
-                idx.out
-                    .get(h)
-                    .into_iter()
-                    .chain(idx.inn.get(h))
-                    .flatten()
-                    .cloned()
-                    .collect()
-            };
+            let incident: Vec<EdgeHandle> = self
+                .edge_index
+                .read()
+                .incident(h, Direction::Any, None)
+                .map(|(e, _)| e.to_string())
+                .collect();
             for e in incident {
                 self.remove_edge(&e)?;
             }
@@ -222,21 +264,14 @@ impl Graph {
         dir: Direction,
         edge_collection: Option<&str>,
     ) -> Result<Vec<Value>> {
-        let idx = self.edge_index.read();
-        let mut handles: Vec<EdgeHandle> = Vec::new();
-        if matches!(dir, Direction::Outbound | Direction::Any) {
-            handles.extend(idx.out.get(vertex).into_iter().flatten().cloned());
-        }
-        if matches!(dir, Direction::Inbound | Direction::Any) {
-            handles.extend(idx.inn.get(vertex).into_iter().flatten().cloned());
-        }
-        drop(idx);
+        let handles: Vec<EdgeHandle> = self
+            .edge_index
+            .read()
+            .incident(vertex, dir, edge_collection)
+            .map(|(e, _)| e.to_string())
+            .collect();
         let mut out = Vec::with_capacity(handles.len());
         for h in handles {
-            let (coll, _) = split_handle(&h)?;
-            if edge_collection.is_some_and(|ec| ec != coll) {
-                continue;
-            }
             if let Some(doc) = self.edge(&h)? {
                 out.push(doc);
             }
@@ -245,23 +280,20 @@ impl Graph {
     }
 
     /// Neighbouring vertex handles of `vertex` in `dir` via one edge
-    /// collection (`None` = all).
+    /// collection (`None` = all), sorted and deduplicated. Answered from
+    /// the edge index alone: no edge document is read.
     pub fn neighbors(
         &self,
         vertex: &str,
         dir: Direction,
         edge_collection: Option<&str>,
     ) -> Result<Vec<VertexHandle>> {
-        let mut out = Vec::new();
-        for edge in self.edges_of(vertex, dir, edge_collection)? {
-            let from = edge.get_field(FROM_FIELD).as_str()?.to_string();
-            let to = edge.get_field(TO_FIELD).as_str()?.to_string();
-            match dir {
-                Direction::Outbound => out.push(to),
-                Direction::Inbound => out.push(from),
-                Direction::Any => out.push(if from == vertex { to } else { from }),
-            }
-        }
+        let mut out: Vec<VertexHandle> = self
+            .edge_index
+            .read()
+            .incident(vertex, dir, edge_collection)
+            .map(|(_, n)| n.to_string())
+            .collect();
         out.sort();
         out.dedup();
         Ok(out)

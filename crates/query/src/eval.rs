@@ -5,6 +5,8 @@
 //! auto-mapping field access over arrays (so `orders[*].product_no` works
 //! as in the paper's AQL example).
 
+use std::borrow::Cow;
+
 use mmdb_types::{Error, Number, Result, Value};
 
 use crate::ast::{BinOp, Expr};
@@ -15,47 +17,16 @@ use crate::world::World;
 /// Evaluate an expression in an environment.
 pub fn eval_expr(world: &World, env: &Env, expr: &Expr) -> Result<Value> {
     match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Var(name) => env
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::Query(format!("unbound variable '{name}'"))),
-        Expr::Field(base, name) => {
-            let b = eval_expr(world, env, base)?;
-            Ok(get_field_mapping(&b, name))
-        }
-        Expr::Index(base, idx) => {
-            let b = eval_expr(world, env, base)?;
-            let i = eval_expr(world, env, idx)?;
-            match &i {
-                Value::Number(n) => Ok(b.get_index(n.as_i64().ok_or_else(|| {
-                    Error::Type("array index must be an integer".into())
-                })?)
-                .clone()),
-                Value::String(s) => Ok(b.get_field(s).clone()),
-                _ => Err(Error::Type(format!(
-                    "cannot index with a {}",
-                    i.type_name()
-                ))),
-            }
-        }
-        Expr::Spread(base) => {
-            let b = eval_expr(world, env, base)?;
-            Ok(match b {
-                Value::Array(items) => Value::Array(items),
-                _ => Value::Array(Vec::new()),
-            })
+        Expr::Literal(_) | Expr::Var(_) | Expr::Field(..) | Expr::Index(..) | Expr::Spread(_) => {
+            eval_ref(world, env, expr).map(Cow::into_owned)
         }
         Expr::Binary(op, l, r) => eval_binary(world, env, *op, l, r),
-        Expr::Not(e) => Ok(Value::Bool(!eval_expr(world, env, e)?.is_truthy())),
-        Expr::Neg(e) => {
-            let v = eval_expr(world, env, e)?;
-            match v {
-                Value::Number(Number::Int(i)) => Ok(Value::int(-i)),
-                Value::Number(Number::Float(f)) => Ok(Value::float(-f)),
-                other => Err(Error::Type(format!("cannot negate {}", other.type_name()))),
-            }
-        }
+        Expr::Not(e) => Ok(Value::Bool(!eval_ref(world, env, e)?.is_truthy())),
+        Expr::Neg(e) => match &*eval_ref(world, env, e)? {
+            Value::Number(Number::Int(i)) => Ok(Value::int(-i)),
+            Value::Number(Number::Float(f)) => Ok(Value::float(-f)),
+            other => Err(Error::Type(format!("cannot negate {}", other.type_name()))),
+        },
         Expr::Call(name, args) => {
             let mut vals = Vec::with_capacity(args.len());
             // lint: allow(tick, iterates call arguments in the AST, bounded by query text)
@@ -84,7 +55,7 @@ pub fn eval_expr(world: &World, env: &Env, expr: &Expr) -> Result<Value> {
             Ok(Value::Array(crate::exec::execute_subquery(world, q, env.clone())?))
         }
         Expr::Ternary(c, a, b) => {
-            if eval_expr(world, env, c)?.is_truthy() {
+            if eval_ref(world, env, c)?.is_truthy() {
                 eval_expr(world, env, a)
             } else {
                 eval_expr(world, env, b)
@@ -93,14 +64,60 @@ pub fn eval_expr(world: &World, env: &Env, expr: &Expr) -> Result<Value> {
     }
 }
 
-/// Field access with auto-mapping over arrays: `array.field` maps the
-/// access over elements (this is what makes `x[*].f` chains work).
-fn get_field_mapping(base: &Value, name: &str) -> Value {
-    match base {
-        Value::Array(items) => {
-            Value::Array(items.iter().map(|i| get_field_mapping(i, name)).collect())
+/// Evaluate an expression without copying what it reads: a literal, a
+/// variable, a field or an element of one, or a `[*]` expansion of an
+/// array, borrows from the query text or the environment. A field mapped
+/// over an array (`x[*].f`) builds a new array, a field or element of a
+/// computed value is copied out of it, and every other expression kind
+/// is computed by [`eval_expr`] and returned owned.
+pub fn eval_ref<'a>(world: &World, env: &'a Env, expr: &'a Expr) -> Result<Cow<'a, Value>> {
+    match expr {
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        Expr::Var(name) => env
+            .get(name)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| Error::Query(format!("unbound variable '{name}'"))),
+        Expr::Field(base, name) => Ok(match eval_ref(world, env, base)? {
+            Cow::Borrowed(b) => get_field_mapping(b, name),
+            Cow::Owned(b) => Cow::Owned(get_field_mapping(&b, name).into_owned()),
+        }),
+        Expr::Index(base, idx) => {
+            let b = eval_ref(world, env, base)?;
+            let i = eval_ref(world, env, idx)?;
+            Ok(match b {
+                Cow::Borrowed(b) => Cow::Borrowed(index_into(b, &i)?),
+                Cow::Owned(b) => Cow::Owned(index_into(&b, &i)?.clone()),
+            })
         }
-        other => other.get_field(name).clone(),
+        Expr::Spread(base) => Ok(match eval_ref(world, env, base)? {
+            b @ Cow::Borrowed(Value::Array(_)) | b @ Cow::Owned(Value::Array(_)) => b,
+            _ => Cow::Owned(Value::Array(Vec::new())),
+        }),
+        _ => eval_expr(world, env, expr).map(Cow::Owned),
+    }
+}
+
+/// `base[i]`: an integer indexes an array (negative counts from the end),
+/// a string names an object field; out of range or mismatched is `Null`.
+fn index_into<'v>(base: &'v Value, i: &Value) -> Result<&'v Value> {
+    match i {
+        Value::Number(n) => Ok(base.get_index(
+            n.as_i64().ok_or_else(|| Error::Type("array index must be an integer".into()))?,
+        )),
+        Value::String(s) => Ok(base.get_field(s)),
+        _ => Err(Error::Type(format!("cannot index with a {}", i.type_name()))),
+    }
+}
+
+/// Field access with auto-mapping over arrays: `array.field` maps the
+/// access over elements (this is what makes `x[*].f` chains work). A
+/// non-array base lends out its field.
+fn get_field_mapping<'v>(base: &'v Value, name: &str) -> Cow<'v, Value> {
+    match base {
+        Value::Array(items) => Cow::Owned(Value::Array(
+            items.iter().map(|i| get_field_mapping(i, name).into_owned()).collect(),
+        )),
+        other => Cow::Borrowed(other.get_field(name)),
     }
 }
 
@@ -108,23 +125,22 @@ fn eval_binary(world: &World, env: &Env, op: BinOp, l: &Expr, r: &Expr) -> Resul
     // Short-circuit booleans first.
     match op {
         BinOp::And => {
-            let lv = eval_expr(world, env, l)?;
-            if !lv.is_truthy() {
+            if !eval_ref(world, env, l)?.is_truthy() {
                 return Ok(Value::Bool(false));
             }
-            return Ok(Value::Bool(eval_expr(world, env, r)?.is_truthy()));
+            return Ok(Value::Bool(eval_ref(world, env, r)?.is_truthy()));
         }
         BinOp::Or => {
-            let lv = eval_expr(world, env, l)?;
-            if lv.is_truthy() {
+            if eval_ref(world, env, l)?.is_truthy() {
                 return Ok(Value::Bool(true));
             }
-            return Ok(Value::Bool(eval_expr(world, env, r)?.is_truthy()));
+            return Ok(Value::Bool(eval_ref(world, env, r)?.is_truthy()));
         }
         _ => {}
     }
-    let lv = eval_expr(world, env, l)?;
-    let rv = eval_expr(world, env, r)?;
+    let lv = eval_ref(world, env, l)?;
+    let rv = eval_ref(world, env, r)?;
+    let (lv, rv) = (&*lv, &*rv);
     Ok(match op {
         BinOp::Eq => Value::Bool(lv == rv),
         BinOp::Ne => Value::Bool(lv != rv),
@@ -132,19 +148,19 @@ fn eval_binary(world: &World, env: &Env, op: BinOp, l: &Expr, r: &Expr) -> Resul
         BinOp::Le => Value::Bool(lv <= rv),
         BinOp::Gt => Value::Bool(lv > rv),
         BinOp::Ge => Value::Bool(lv >= rv),
-        BinOp::In => match &rv {
-            Value::Array(items) => Value::Bool(items.contains(&lv)),
+        BinOp::In => match rv {
+            Value::Array(items) => Value::Bool(items.contains(lv)),
             _ => Value::Bool(false),
         },
-        BinOp::Like => Value::Bool(match (&lv, &rv) {
+        BinOp::Like => Value::Bool(match (lv, rv) {
             (Value::String(s), Value::String(p)) => like_match(s, p),
             _ => false,
         }),
-        BinOp::Add => arith(&lv, &rv, op)?,
-        BinOp::Sub => arith(&lv, &rv, op)?,
-        BinOp::Mul => arith(&lv, &rv, op)?,
-        BinOp::Div => arith(&lv, &rv, op)?,
-        BinOp::Mod => arith(&lv, &rv, op)?,
+        BinOp::Add => arith(lv, rv, op)?,
+        BinOp::Sub => arith(lv, rv, op)?,
+        BinOp::Mul => arith(lv, rv, op)?,
+        BinOp::Div => arith(lv, rv, op)?,
+        BinOp::Mod => arith(lv, rv, op)?,
         // lint: allow(panic, And/Or short-circuit in the caller before this match)
         BinOp::And | BinOp::Or => unreachable!("handled above"),
     })

@@ -1,6 +1,6 @@
 //! The MMQL plan interpreter: a pipeline over binding environments.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::rc::Rc;
 
@@ -9,7 +9,7 @@ use mmdb_types::{Error, Result, Value};
 
 use crate::ast::{AggFunc, BinOp, Expr, Query, SortOrder, TraversalDirection};
 use crate::cancel;
-use crate::eval::eval_expr;
+use crate::eval::{eval_expr, eval_ref};
 use crate::plan::{build_plan, Plan, PlanBound, PlanNode};
 use crate::world::World;
 
@@ -347,20 +347,24 @@ pub fn execute_plan_with_env(world: &World, plan: &Plan, env: Env) -> Result<Vec
 /// traced executors).
 fn project_return(world: &World, plan: &Plan, envs: &[Env]) -> Result<Vec<Value>> {
     let mut out = Vec::with_capacity(envs.len());
+    if !plan.distinct {
+        for env in envs {
+            cancel::tick()?;
+            out.push(eval_expr(world, env, &plan.ret)?);
+        }
+        return Ok(out);
+    }
+    // First occurrence wins, and only it is copied out. `Value`'s hash
+    // agrees with `==`, so `1` and `1.0`, or objects whose keys come in
+    // different orders, are one value.
+    let mut seen = HashSet::with_capacity(envs.len());
     for env in envs {
         cancel::tick()?;
-        out.push(eval_expr(world, env, &plan.ret)?);
-    }
-    if plan.distinct {
-        let mut seen = Vec::new();
-        out.retain(|v| {
-            if seen.contains(v) {
-                false
-            } else {
-                seen.push(v.clone());
-                true
-            }
-        });
+        let v = eval_ref(world, env, &plan.ret)?;
+        if !seen.contains(&*v) {
+            out.push(v.as_ref().clone());
+            seen.insert(v);
+        }
     }
     Ok(out)
 }
@@ -487,13 +491,13 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
                 if table.is_empty() {
                     break;
                 }
-                let Some(rows) = table.get(&eval_expr(world, &env, key)?) else { continue };
+                let Some(rows) = table.get(&*eval_ref(world, &env, key)?) else { continue };
                 for row in rows {
                     cancel::tick()?;
                     let mut e = env.clone();
                     e.insert(var.clone(), row.clone());
                     if let Some(res) = residual {
-                        if !eval_expr(world, &e, res)?.is_truthy() {
+                        if !eval_ref(world, &e, res)?.is_truthy() {
                             continue;
                         }
                     }
@@ -525,7 +529,7 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
                     let mut e = env.clone();
                     e.insert(var.clone(), doc);
                     if let Some(res) = residual {
-                        if !eval_expr(world, &e, res)?.is_truthy() {
+                        if !eval_ref(world, &e, res)?.is_truthy() {
                             continue;
                         }
                     }
@@ -549,17 +553,18 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
             };
             let mut out = Vec::new();
             for env in envs {
-                let start_v = eval_expr(world, &env, start)?;
-                let Value::String(handle) = start_v else {
-                    if start_v.is_null() {
-                        continue; // null start traverses nothing
+                let start_v = eval_ref(world, &env, start)?;
+                let handle = match &*start_v {
+                    Value::String(handle) => handle,
+                    Value::Null => continue, // null start traverses nothing
+                    other => {
+                        return Err(Error::Type(format!(
+                            "traversal start must be a 'collection/key' handle string, got {}",
+                            other.type_name()
+                        )))
                     }
-                    return Err(Error::Type(format!(
-                        "traversal start must be a 'collection/key' handle string, got {}",
-                        start_v.type_name()
-                    )));
                 };
-                for visited in mmdb_graph::traverse(&graph, &handle, &spec)? {
+                for visited in mmdb_graph::traverse(&graph, handle, &spec)? {
                     cancel::tick()?;
                     let Some(mut doc) = graph.vertex(&visited.vertex)? else { continue };
                     // Attach the handle and depth, like AQL's `_id`.
@@ -578,7 +583,7 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
             let mut out = Vec::new();
             for env in envs {
                 cancel::tick()?;
-                if eval_expr(world, &env, pred)?.is_truthy() {
+                if eval_ref(world, &env, pred)?.is_truthy() {
                     out.push(env);
                 }
             }
@@ -1019,6 +1024,27 @@ mod tests {
         let w = World::in_memory();
         let got = run(&w, "FOR x IN [1,2,2,3,1] RETURN DISTINCT x").unwrap();
         assert_eq!(got, vec![Value::int(1), Value::int(2), Value::int(3)]);
+    }
+
+    #[test]
+    fn distinct_keeps_first_occurrences_under_value_equality() {
+        let w = World::in_memory();
+        let got = run(
+            &w,
+            r#"FOR x IN [3, 1, {a: 1, b: [2]}, 1.0, "1", {b: [2.0], a: 1}, 3, null, 2.5, null, 1]
+               RETURN DISTINCT x"#,
+        )
+        .unwrap();
+        let obj = mmdb_types::from_json(r#"{"a":1,"b":[2]}"#).unwrap();
+        assert_eq!(
+            got,
+            vec![Value::int(3), Value::int(1), obj, Value::str("1"), Value::Null, Value::float(2.5)]
+        );
+        // `1` and `1.0` are one value, and the one kept is the first seen;
+        // likewise the object keeps its first spelling's key order.
+        assert!(matches!(got[1], Value::Number(mmdb_types::Number::Int(1))), "{:?}", got[1]);
+        let keys: Vec<&str> = got[2].as_object().unwrap().keys().collect();
+        assert_eq!(keys, ["a", "b"]);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Property tests for MMQL: language semantics against reference
 //! computations in plain Rust.
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 
-use mmdb_query::exec::execute_plan;
+use mmdb_query::ast::{BinOp, Expr};
+use mmdb_query::eval::{eval_expr, eval_ref};
+use mmdb_query::exec::{execute_plan, Env};
 use mmdb_query::optimize::optimize;
 use mmdb_query::plan::{build_plan, Plan};
 use mmdb_query::{parse_query, run, run_sql, World};
@@ -205,4 +209,231 @@ proptest! {
         let q = format!("FOR n IN nums FILTER n.{field} {op} {k} RETURN n.{field}");
         let _ = run(&w, &q);
     }
+}
+
+/// Field names of generated documents.
+const KEYS: [&str; 2] = ["a", "b"];
+
+/// Field names of generated `.field` and `["field"]` accesses: `x` is
+/// always missing.
+const ACCESS_KEYS: [&str; 3] = ["a", "b", "x"];
+
+fn leaf_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        Just(Value::Bool(true)),
+        (-3i64..4).prop_map(Value::int),
+        prop::sample::select(vec![1.0, 2.5, -1.0]).prop_map(Value::float),
+        prop::sample::select(vec!["a", "b", "x", ""]).prop_map(Value::str),
+    ]
+}
+
+/// Random nested values: arrays and objects over scalar leaves.
+fn nested() -> impl Strategy<Value = Value> {
+    leaf_value().prop_recursive(3, 24, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+            object_of(inner),
+        ]
+    })
+}
+
+fn object_of(field: impl Strategy<Value = Value>) -> impl Strategy<Value = Value> {
+    prop::collection::vec((prop::sample::select(KEYS.to_vec()), field), 0..3).prop_map(Value::object)
+}
+
+/// Random documents: objects whose fields hold nested values.
+fn document() -> impl Strategy<Value = Value> {
+    object_of(nested())
+}
+
+/// A navigation chain from `doc`: fields, small indexes and `[*]`.
+fn path_from_doc() -> impl Strategy<Value = Expr> {
+    let step = (0usize..4, prop::sample::select(ACCESS_KEYS.to_vec()), -3i64..3);
+    prop::collection::vec(step, 1..5).prop_map(|steps| {
+        steps.into_iter().fold(Expr::var("doc"), |base, (kind, key, i)| match kind {
+            0 | 1 => Expr::Field(Box::new(base), key.to_string()),
+            2 => Expr::Index(Box::new(base), Box::new(Expr::lit(Value::int(i)))),
+            _ => Expr::Spread(Box::new(base)),
+        })
+    })
+}
+
+/// Expressions over `doc` (a document), `n` (an int) and an unbound
+/// name: field access, `[*]` expansion, integer (negative, out of range)
+/// and string indexes, comparisons, `IN`, and the boolean operators.
+fn expression() -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        Just(Expr::var("doc")),
+        path_from_doc(),
+        path_from_doc(),
+        path_from_doc(),
+        Just(Expr::var("n")),
+        Just(Expr::var("unbound")),
+        leaf_value().prop_map(Expr::Literal),
+    ];
+    leaf.prop_recursive(5, 32, 3, |inner| {
+        let key = || prop::sample::select(ACCESS_KEYS.to_vec());
+        let index = prop_oneof![
+            (-5i64..5).prop_map(|i| Expr::lit(Value::int(i))),
+            key().prop_map(|k| Expr::lit(Value::str(k))),
+            inner.clone(),
+        ];
+        let ops = vec![
+            BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge,
+            BinOp::In, BinOp::And, BinOp::Or,
+        ];
+        prop_oneof![
+            (inner.clone(), key()).prop_map(|(b, k)| Expr::Field(Box::new(b), k.to_string())),
+            (inner.clone(), key()).prop_map(|(b, k)| Expr::Field(Box::new(b), k.to_string())),
+            (inner.clone(), index).prop_map(|(b, i)| Expr::Index(Box::new(b), Box::new(i))),
+            inner.clone().prop_map(|b| Expr::Spread(Box::new(b))),
+            (prop::sample::select(ops), inner.clone(), inner.clone())
+                .prop_map(|(op, l, r)| Expr::Binary(op, Box::new(l), Box::new(r))),
+            inner.prop_map(|e| Expr::Not(Box::new(e))),
+        ]
+    })
+}
+
+/// The deep-copy reference evaluator: every sub-expression yields an
+/// owned copy, and fields and elements are projected out of that copy.
+/// `None` is an evaluation error.
+fn reference(bindings: &[(&str, Value)], e: &Expr) -> Option<Value> {
+    fn field(base: &Value, name: &str) -> Value {
+        match base {
+            Value::Array(items) => Value::Array(items.iter().map(|i| field(i, name)).collect()),
+            other => other.get_field(name).clone(),
+        }
+    }
+    Some(match e {
+        Expr::Literal(v) => v.clone(),
+        Expr::Var(name) => bindings.iter().find(|(n, _)| n == name)?.1.clone(),
+        Expr::Field(base, name) => field(&reference(bindings, base)?, name),
+        Expr::Index(base, idx) => {
+            let b = reference(bindings, base)?;
+            match reference(bindings, idx)? {
+                Value::Number(n) => b.get_index(n.as_i64()?).clone(),
+                Value::String(s) => b.get_field(&s).clone(),
+                _ => return None,
+            }
+        }
+        Expr::Spread(base) => match reference(bindings, base)? {
+            Value::Array(items) => Value::Array(items),
+            _ => Value::Array(Vec::new()),
+        },
+        Expr::Not(e) => Value::Bool(!reference(bindings, e)?.is_truthy()),
+        Expr::Binary(BinOp::And, l, r) => Value::Bool(
+            reference(bindings, l)?.is_truthy() && reference(bindings, r)?.is_truthy(),
+        ),
+        Expr::Binary(BinOp::Or, l, r) => Value::Bool(
+            reference(bindings, l)?.is_truthy() || reference(bindings, r)?.is_truthy(),
+        ),
+        Expr::Binary(op, l, r) => {
+            let (l, r) = (reference(bindings, l)?, reference(bindings, r)?);
+            Value::Bool(match op {
+                BinOp::Eq => l == r,
+                BinOp::Ne => l != r,
+                BinOp::Lt => l < r,
+                BinOp::Le => l <= r,
+                BinOp::Gt => l > r,
+                BinOp::Ge => l >= r,
+                BinOp::In => matches!(&r, Value::Array(items) if items.contains(&l)),
+                _ => unreachable!("the generator emits comparisons and booleans only"),
+            })
+        }
+        _ => unreachable!("the generator emits no other expression kinds"),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `eval_expr` (which borrows through `eval_ref`) returns exactly what
+    /// clone-then-project evaluation returns, errors included; compared
+    /// by `Debug` so that int vs float and key order must match too.
+    #[test]
+    fn borrowing_evaluator_equals_deep_copy_reference(
+        doc in document(),
+        n in -3i64..4,
+        e in expression(),
+    ) {
+        let w = World::in_memory();
+        let mut env = Env::new();
+        env.insert("doc".to_string(), doc.clone());
+        env.insert("n".to_string(), Value::int(n));
+        let want = format!("{:?}", reference(&[("doc", doc), ("n", Value::int(n))], &e));
+        prop_assert_eq!(format!("{:?}", eval_expr(&w, &env, &e).ok()), want.clone(), "{:?}", e);
+        prop_assert_eq!(format!("{:?}", eval_ref(&w, &env, &e).ok().map(Cow::into_owned)), want);
+    }
+}
+
+/// The paper's world (slide 27), with a third person's cart so that Q5's
+/// two-hop circle reaches two orders sharing a product.
+fn paper_world() -> World {
+    use mmdb_relational::{ColumnDef, DataType, Schema};
+    let w = World::in_memory();
+    let columns = vec![
+        ColumnDef::new("id", DataType::Int),
+        ColumnDef::new("name", DataType::Text),
+        ColumnDef::new("credit_limit", DataType::Int),
+    ];
+    let t = w.catalog.create_table("customers", Schema::new(columns, "id").unwrap()).unwrap();
+    for (id, name, limit) in [(1, "Mary", 5000), (2, "John", 3000), (3, "Anne", 2000)] {
+        t.insert(vec![Value::int(id), Value::str(name), Value::int(limit)]).unwrap();
+    }
+    let g = w.create_graph("social").unwrap();
+    g.create_vertex_collection("persons").unwrap();
+    g.create_edge_collection("knows").unwrap();
+    for id in 1..=3 {
+        g.add_vertex("persons", Value::object([("_key", Value::str(id.to_string()))])).unwrap();
+    }
+    let no_props = || Value::object(Vec::<(String, Value)>::new());
+    g.add_edge("knows", "persons/1", "persons/2", no_props()).unwrap();
+    g.add_edge("knows", "persons/3", "persons/1", no_props()).unwrap();
+    w.kv.create_bucket("cart").unwrap();
+    w.kv.put("cart", "1", Value::str("34e5e759")).unwrap();
+    w.kv.put("cart", "2", Value::str("0c6df508")).unwrap();
+    w.kv.put("cart", "3", Value::str("77a1c2d4")).unwrap();
+    let orders = w.create_collection("orders").unwrap();
+    for doc in [
+        r#"{"_key":"0c6df508","orderlines":[
+            {"product_no":"2724f","product_name":"Toy","price":66},
+            {"product_no":"3424g","product_name":"Book","price":40}]}"#,
+        r#"{"_key":"34e5e759","orderlines":[{"product_no":"9999x","price":5}]}"#,
+        r#"{"_key":"77a1c2d4","orderlines":[
+            {"product_no":"3424g","price":40},{"product_no":"5120k","price":8},
+            {"product_no":"3424g","price":40}]}"#,
+    ] {
+        orders.insert_json(doc).unwrap();
+    }
+    w
+}
+
+fn strings(rows: Vec<Value>) -> Vec<String> {
+    rows.iter().map(|v| v.as_str().unwrap().to_string()).collect()
+}
+
+/// Q2 and Q5, in the benchmark's text, return the rows they always have
+/// on the paper's world, in order.
+#[test]
+fn q2_and_q5_return_the_paper_rows() {
+    let w = paper_world();
+    let q2 = r#"
+        FOR c IN customers
+          FILTER c.credit_limit > 3000
+          FOR friend IN 1..1 OUTBOUND CONCAT("persons/", c.id) knows
+            LET order = DOC("orders", KV_GET("cart", friend._key))
+            FILTER order != NULL
+            FOR line IN order.orderlines
+              RETURN DISTINCT line.product_no"#;
+    assert_eq!(strings(run(&w, q2).unwrap()), ["2724f", "3424g"]);
+    let q5 = r#"
+        FOR friend IN 1..2 ANY "persons/1" knows
+          LET order = DOC("orders", KV_GET("cart", friend._key))
+          FILTER order != NULL
+          FOR line IN order.orderlines
+            RETURN DISTINCT line.product_no"#;
+    assert_eq!(strings(run(&w, q5).unwrap()), ["2724f", "3424g", "5120k"]);
+    let from_anne = q5.replace("persons/1", "persons/3");
+    assert_eq!(strings(run(&w, &from_anne).unwrap()), ["9999x", "2724f", "3424g"]);
 }

@@ -877,6 +877,20 @@ impl Transaction {
         let level = self.store.policy.read().level(domain);
         let versions = self.store.versions.read();
         let chain = versions.get(&tkey);
+        if self.isolation == IsolationLevel::Serializable
+            && level == ConsistencyLevel::Strong
+            && chain.and_then(|c| c.last()).is_some_and(|v| v.commit_ts > self.start_ts)
+        {
+            // The shared lock was granted after a writer of this key
+            // committed past our snapshot. Reading the snapshot's version
+            // would let both sides of a write skew commit (neither wrote
+            // what the other wrote), so fail retryably: `run` retries on
+            // a fresh snapshot that includes the write.
+            return Err(Error::TxnConflict(format!(
+                "serializable read of a key committed after snapshot {}",
+                self.start_ts
+            )));
+        }
         Ok(match level {
             ConsistencyLevel::Eventual => chain.and_then(|c| c.last()).and_then(|v| v.value.clone()),
             ConsistencyLevel::Strong => chain

@@ -17,6 +17,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --workspace (every crate's unit, integration and property tests)"
+# The root manifest has no default-members, so the plain `cargo test`
+# above runs only the root `mmdb` package.
+cargo test -q --workspace
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -134,6 +134,50 @@ fn graph_and_rdf_domains_recover() {
 }
 
 #[test]
+fn re_putting_an_edge_key_moves_the_edge_before_and_after_reopen() {
+    let dir = tmpdir("edge-reput");
+    let out_of = |db: &Database, v: &str| {
+        db.query(&format!(r#"FOR f IN 1..1 OUTBOUND "persons/{v}" knows RETURN f._key"#)).unwrap()
+    };
+    let into = |db: &Database, v: &str| {
+        db.query(&format!(r#"FOR f IN 1..1 INBOUND "persons/{v}" knows RETURN f._key"#)).unwrap()
+    };
+    {
+        let db = Database::open(&dir).unwrap();
+        let g = db.create_graph("social").unwrap();
+        g.create_vertex_collection("persons").unwrap();
+        g.create_edge_collection("knows").unwrap();
+        db.transact(IsolationLevel::Snapshot, 3, |s| {
+            for key in ["1", "2", "3"] {
+                s.add_vertex("social", "persons", Value::object([("_key", Value::str(key))]))?;
+            }
+            s.add_edge("social", "knows", "persons/1", "persons/2", mmdb::from_json(r#"{"_key":"e1"}"#).unwrap())
+                .map(|_| ())
+        })
+        .unwrap();
+        assert_eq!(out_of(&db, "1"), vec![Value::str("2")]);
+        // Same edge key, new `_to`: the put replaces the edge.
+        db.transact(IsolationLevel::Snapshot, 3, |s| {
+            s.add_edge("social", "knows", "persons/1", "persons/3", mmdb::from_json(r#"{"_key":"e1","w":2}"#).unwrap())
+                .map(|_| ())
+        })
+        .unwrap();
+        assert_eq!(out_of(&db, "1"), vec![Value::str("3")]);
+        assert!(into(&db, "2").is_empty(), "the old target keeps no stale in-edge");
+    }
+    {
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(out_of(&db, "1"), vec![Value::str("3")], "recovery replays the re-put as a move");
+        assert!(into(&db, "2").is_empty());
+        assert_eq!(into(&db, "3"), vec![Value::str("1")]);
+        let g = db.world().graph("social").unwrap();
+        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.edge("knows/e1").unwrap().unwrap().get_field("w"), &Value::int(2), "the re-put document");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn updates_and_deletes_recover_in_order() {
     let dir = tmpdir("order");
     {
