@@ -200,7 +200,8 @@ fn run_pipeline_depth(
 /// server. Idle connections cost one parked reader thread each and no
 /// executor-pool slots, so the hot path's QPS must not degrade with
 /// them present; the depth-32 row shows the win from batching frames
-/// across the connection, the executor lane, and the outbound writer.
+/// across the connection: one read takes in a burst, the reader runs
+/// the gets in place, and one write carries the answers back.
 fn workload_pipeline(args: &Args) {
     println!("== Workload P: pipelined request throughput ==");
     let db = Arc::new(Database::in_memory());

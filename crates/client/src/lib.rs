@@ -22,9 +22,8 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use mmdb_protocol::{
-    frame, schema_to_value, DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION,
-};
+use mmdb_protocol::frame::{self, FrameBuf};
+use mmdb_protocol::{schema_to_value, DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
 use mmdb_relational::Schema;
 use mmdb_types::{Error, Result, Value};
 
@@ -73,6 +72,11 @@ pub struct Client {
     /// Responses read off the wire ahead of the id the caller asked
     /// for: the server may complete pipelined requests out of order.
     stash: HashMap<u64, Response>,
+    /// Receive buffer: one `read` takes in every response frame the
+    /// server has sent, and the frames are decoded from it in order.
+    /// Lives in the struct (no second handle on the socket), so a
+    /// connection costs one fd.
+    rbuf: FrameBuf,
 }
 
 impl std::fmt::Debug for Client {
@@ -108,6 +112,7 @@ impl Client {
             pending: HashSet::new(),
             send_buf: Vec::new(),
             stash: HashMap::new(),
+            rbuf: FrameBuf::default(),
         };
         match client.call(&Request::Hello { version: PROTOCOL_VERSION })? {
             Response::Hello { server, .. } => {
@@ -150,11 +155,9 @@ impl Client {
                 "pipelined requests in flight; receive them before call".into(),
             ));
         }
-        let result = (|| {
-            frame::write_frame(&mut self.stream, &req.encode(), self.config.max_frame_len)?;
-            let payload = frame::read_frame(&mut self.stream, self.config.max_frame_len)?;
-            Response::decode(&payload)
-        })();
+        let result = frame::write_frame(&mut self.stream, &req.encode(), self.config.max_frame_len)
+            .and_then(|()| self.read_response())
+            .and_then(|payload| Response::decode(&payload));
         match result {
             Ok(Response::Err { kind, message }) => {
                 Err(Response::into_error(&kind, message))
@@ -250,10 +253,7 @@ impl Client {
                     "connection poisoned by an earlier I/O failure".into(),
                 ));
             }
-            let result = (|| {
-                let payload = frame::read_frame(&mut self.stream, self.config.max_frame_len)?;
-                Response::decode_with_id(&payload)
-            })();
+            let result = self.read_response().and_then(|payload| Response::decode_with_id(&payload));
             match result {
                 Ok((Some(got), resp)) if got == id => {
                     self.pending.remove(&id);
@@ -274,6 +274,12 @@ impl Client {
                 }
             }
         }
+    }
+
+    /// The next response frame's payload, from the receive buffer when
+    /// one is already there, else after reading what the server sent.
+    fn read_response(&mut self) -> Result<std::borrow::Cow<'_, [u8]>> {
+        self.rbuf.read_frame(&mut self.stream, self.config.max_frame_len)
     }
 
     /// Number of submitted requests not yet received.
@@ -504,10 +510,7 @@ impl Client {
                 "next_change is only valid after replica_hello or subscribe".into(),
             ));
         }
-        let result = (|| {
-            let payload = frame::read_frame(&mut self.stream, self.config.max_frame_len)?;
-            Response::decode(&payload)
-        })();
+        let result = self.read_response().and_then(|payload| Response::decode(&payload));
         match result {
             Ok(Response::Change(v)) => Ok(v),
             Ok(Response::Err { kind, message }) => {

@@ -389,17 +389,14 @@ impl Database {
     /// log — a replica that falls below the horizon bootstraps over the
     /// wire instead.
     pub fn checkpoint(&self) -> Result<CheckpointSummary> {
-        // lint: allow(blocking, explicit ADMIN CHECKPOINT request; serializing whole-DB checkpoints is the point)
         let _one_at_a_time = self.ckpt.serial.lock();
         let started = Instant::now();
         let mut summary = CheckpointSummary::default();
         if let Some(wal) = &self.wal {
             let (lsn, entries, snapshot_bytes, reclaimed) =
-                // lint: allow(blocking, the checkpoint window must stop the commit pipeline to pick a consistent snapshot LSN)
                 self.mvcc.quiesce_commits(|| -> Result<(Lsn, usize, u64, u64)> {
                     // Make the tail durable so the snapshot LSN is a
                     // point no crash can roll back behind.
-                    // lint: allow(blocking, the caller asked for durability; one tail fsync anchors the snapshot)
                     wal.sync()?;
                     let lsn = wal.tail_lsn();
                     let live = self.mvcc.latest_committed_writes();

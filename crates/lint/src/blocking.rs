@@ -2,7 +2,7 @@
 //! context without a reasoned pragma.
 //!
 //! `lint.toml` names the hot contexts (`[hot_contexts] fns = [...]` —
-//! server reader threads, executor lanes, the group-commit leader) and
+//! server connection readers and response writers) and
 //! the blocking vocabulary (`[blocking] ops` — call tokens like
 //! `.sync()` or `sleep`; `[blocking] contended` — locks whose waits
 //! are long enough to count, like the commit mutex). The rule walks

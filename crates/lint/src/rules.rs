@@ -754,7 +754,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "blocking" => {
             "blocking: no blocking operation reachable from an annotated hot context\n\
              without a reasoned pragma. [hot_contexts] fns names the entry points\n\
-             (reader threads, executor lanes, the group-commit leader); [blocking] ops\n\
+             (connection readers, response writers); [blocking] ops\n\
              lists the blocking vocabulary (.sync(), sleep, .wait_for(, ...);\n\
              [blocking] contended lists locks whose waits count as blocking. The rule\n\
              walks the call graph breadth-first from each hot fn and reports each\n\

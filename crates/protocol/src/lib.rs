@@ -23,5 +23,5 @@ pub mod message;
 pub mod schema;
 
 pub use frame::{read_frame, write_frame, HEADER_LEN, MAX_FRAME_LEN};
-pub use message::{DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
+pub use message::{DdlOp, Request, Response, SessionOp, MAX_WIRE_DEPTH, PROTOCOL_VERSION};
 pub use schema::{schema_from_value, schema_to_value};

@@ -6,12 +6,31 @@
 //! format gets the full `Value` domain — nested documents, bytes,
 //! floats — for free, and one codec is fuzzed instead of two.
 
-use mmdb_types::codec::{value_from_bytes, value_to_bytes};
+use mmdb_types::codec::{value_from_bytes_bounded, value_to_bytes};
+use mmdb_types::json::MAX_DEPTH;
 use mmdb_types::{Error, Result, Value};
 
 /// Version of the wire protocol. The server refuses a `Hello` carrying a
 /// different major version.
 pub const PROTOCOL_VERSION: i64 = 1;
+
+/// Nesting levels a message's own structure may wrap around the values
+/// it carries: the id envelope, the message and op tag arrays, a rows
+/// list, a change event's object and its write list.
+const MESSAGE_NESTING: usize = 8;
+
+/// Deepest nesting a wire payload may have. Documents and other values
+/// keep the JSON parser's full [`MAX_DEPTH`] below the message structure;
+/// anything deeper is a `protocol` error before the decoder recurses
+/// further, so a hostile frame cannot overflow a connection thread's
+/// small stack.
+pub const MAX_WIRE_DEPTH: usize = MAX_DEPTH + MESSAGE_NESTING;
+
+/// Decode a wire payload's value under [`MAX_WIRE_DEPTH`].
+fn decode_payload(payload: &[u8], what: &str) -> Result<Value> {
+    value_from_bytes_bounded(payload, MAX_WIRE_DEPTH)
+        .map_err(|e| Error::Protocol(format!("undecodable {what} payload: {e}")))
+}
 
 /// Envelope tag for id-carrying frames (see [`Request::encode_with_id`]).
 /// Ordinary message tags are lowercase words, so the `#` prefix can never
@@ -287,8 +306,7 @@ impl Request {
 
     /// Decode from a wire payload.
     pub fn decode(payload: &[u8]) -> Result<Request> {
-        let v = value_from_bytes(payload)
-            .map_err(|e| Error::Protocol(format!("undecodable request payload: {e}")))?;
+        let v = decode_payload(payload, "request")?;
         Request::from_value(&v)
     }
 
@@ -306,8 +324,7 @@ impl Request {
     /// Decode a wire payload that may carry the pipelining id envelope.
     /// Returns the id (when present) alongside the request.
     pub fn decode_with_id(payload: &[u8]) -> Result<(Option<u64>, Request)> {
-        let v = value_from_bytes(payload)
-            .map_err(|e| Error::Protocol(format!("undecodable request payload: {e}")))?;
+        let v = decode_payload(payload, "request")?;
         let (id, inner) = unwrap_envelope(&v)?;
         Ok((id, Request::from_value(inner)?))
     }
@@ -593,8 +610,7 @@ impl Response {
 
     /// Decode from a wire payload.
     pub fn decode(payload: &[u8]) -> Result<Response> {
-        let v = value_from_bytes(payload)
-            .map_err(|e| Error::Protocol(format!("undecodable response payload: {e}")))?;
+        let v = decode_payload(payload, "response")?;
         Response::from_value(&v)
     }
 
@@ -610,8 +626,7 @@ impl Response {
 
     /// Decode a wire payload that may carry the pipelining id envelope.
     pub fn decode_with_id(payload: &[u8]) -> Result<(Option<u64>, Response)> {
-        let v = value_from_bytes(payload)
-            .map_err(|e| Error::Protocol(format!("undecodable response payload: {e}")))?;
+        let v = decode_payload(payload, "response")?;
         let (id, inner) = unwrap_envelope(&v)?;
         Ok((id, Response::from_value(inner)?))
     }

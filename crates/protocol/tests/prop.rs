@@ -3,8 +3,9 @@
 //! contract — truncated or random bytes must come back as errors, never
 //! as panics or hangs.
 
-use mmdb_protocol::{frame, DdlOp, Request, Response, SessionOp};
+use mmdb_protocol::{frame, DdlOp, Request, Response, SessionOp, MAX_WIRE_DEPTH};
 use mmdb_types::codec::{value_from_bytes, value_to_bytes};
+use mmdb_types::json::MAX_DEPTH;
 use mmdb_types::Value;
 use proptest::prelude::*;
 
@@ -63,6 +64,18 @@ fn arb_response() -> impl Strategy<Value = Response> {
         ("[a-z]{1,10}", "[ -~]{0,30}")
             .prop_map(|(kind, message)| Response::Err { kind, message }),
     ]
+}
+
+/// Wrap `leaf` in one level per flag: a one-element array for `true`, a
+/// one-field object for `false`.
+fn wrap(leaf: Value, layers: &[bool]) -> Value {
+    layers.iter().fold(leaf, |v, &array| {
+        if array {
+            Value::Array(vec![v])
+        } else {
+            Value::object([("k", v)])
+        }
+    })
 }
 
 proptest! {
@@ -126,5 +139,49 @@ proptest! {
             prop_assert!(value_from_bytes(&bytes[..cut]).is_err(),
                 "strict prefix of a valid encoding must error: {}", v);
         }
+    }
+
+    #[test]
+    fn values_nested_past_the_cap_are_protocol_errors(
+        leaf in arb_value(),
+        layers in prop::collection::vec(any::<bool>(), MAX_WIRE_DEPTH..MAX_WIRE_DEPTH + 600),
+        id in prop_oneof![Just(None), any::<u32>().prop_map(|i| Some(i as u64))],
+    ) {
+        let deep = wrap(leaf, &layers);
+        let req = Request::Op(SessionOp::InsertDocument { collection: "c".into(), doc: deep.clone() });
+        let err = Request::decode_with_id(&req.encode_with_id(id)).unwrap_err();
+        prop_assert_eq!(err.kind(), "protocol");
+        let resp = Response::Rows(vec![deep]);
+        let err = Response::decode_with_id(&resp.encode_with_id(id)).unwrap_err();
+        prop_assert_eq!(err.kind(), "protocol");
+    }
+
+    #[test]
+    fn documents_within_the_cap_cross_the_wire(
+        layers in prop::collection::vec(any::<bool>(), 0..MAX_DEPTH),
+        id in prop_oneof![Just(None), any::<u32>().prop_map(|i| Some(i as u64))],
+    ) {
+        // A scalar plus up to MAX_DEPTH - 1 layers: as deep as JSON text
+        // may nest, inside the deepest message shapes a document rides.
+        let doc = wrap(Value::int(1), &layers);
+        let req = Request::Op(SessionOp::InsertDocument { collection: "c".into(), doc: doc.clone() });
+        prop_assert_eq!(Request::decode_with_id(&req.encode_with_id(id)).unwrap(), (id, req));
+        let resp = Response::Rows(vec![doc]);
+        prop_assert_eq!(Response::decode_with_id(&resp.encode_with_id(id)).unwrap(), (id, resp));
+    }
+
+    #[test]
+    fn nesting_prefixes_never_panic(
+        layers in 1usize..50_000,
+        tail in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        // One-element array headers with no leaf (a truncated or hostile
+        // frame): an error at any depth, never a stack overflow.
+        let mut bytes = [0x07u8, 1].repeat(layers);
+        bytes.extend_from_slice(&tail);
+        let err = Request::decode(&bytes).unwrap_err();
+        prop_assert_eq!(err.kind(), "protocol");
+        let err = Response::decode_with_id(&bytes).unwrap_err();
+        prop_assert_eq!(err.kind(), "protocol");
     }
 }

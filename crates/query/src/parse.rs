@@ -1,5 +1,6 @@
 //! Recursive-descent parser for MMQL.
 
+use mmdb_types::json::MAX_DEPTH;
 use mmdb_types::{Error, Number, Result, Value};
 
 use crate::ast::*;
@@ -8,7 +9,7 @@ use crate::lex::{tokenize, Spanned, Token};
 /// Parse an MMQL query.
 pub fn parse_query(text: &str) -> Result<Query> {
     let tokens = tokenize(text)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let q = p.parse_query()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after query"));
@@ -20,7 +21,7 @@ pub fn parse_query(text: &str) -> Result<Query> {
 /// helpers).
 pub fn parse_expr(text: &str) -> Result<Expr> {
     let tokens = tokenize(text)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let e = p.parse_expr()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after expression"));
@@ -31,9 +32,17 @@ pub fn parse_expr(text: &str) -> Result<Expr> {
 pub(crate) struct Parser {
     pub(crate) tokens: Vec<Spanned>,
     pub(crate) pos: usize,
+    /// Expression nesting at the current position; capped at
+    /// [`MAX_DEPTH`] so hostile query text cannot overflow the stack of
+    /// the thread parsing it.
+    depth: usize,
 }
 
 impl Parser {
+    pub(crate) fn new(tokens: Vec<Spanned>) -> Parser {
+        Parser { tokens, pos: 0, depth: 0 }
+    }
+
     pub(crate) fn err(&self, msg: &str) -> Error {
         let at = self
             .tokens
@@ -242,7 +251,21 @@ impl Parser {
     // ---- expressions, precedence climbing -------------------------------
 
     pub(crate) fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_ternary()
+        self.nested(Self::parse_ternary)
+    }
+
+    /// Parse with `f` one nesting level deeper, failing past
+    /// [`MAX_DEPTH`]. Every recursive path in the grammar passes through
+    /// here: sub-expressions and subqueries via `parse_expr`, prefix
+    /// operators via `parse_unary`.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err(&format!("expression nesting exceeds {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     fn parse_ternary(&mut self) -> Result<Expr> {
@@ -339,10 +362,10 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat_punct("!") || self.eat_kw("NOT") {
-            return Ok(Expr::Not(Box::new(self.parse_unary()?)));
+            return self.nested(|p| Ok(Expr::Not(Box::new(p.parse_unary()?))));
         }
         if self.eat_punct("-") {
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
+            return self.nested(|p| Ok(Expr::Neg(Box::new(p.parse_unary()?))));
         }
         let primary = self.parse_primary()?;
         self.parse_postfix(primary)
@@ -556,5 +579,34 @@ mod tests {
         assert!(matches!(e, Expr::Binary(BinOp::Add, _, _)));
         let e = parse_expr("(FOR x IN t RETURN x)").unwrap();
         assert!(matches!(e, Expr::Subquery(_)));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_json_depth() {
+        // Reaching the cap takes ~9 parser frames per level; unoptimized
+        // builds need more than a default 2 MiB test thread for that (the
+        // server's executor threads are sized for it).
+        let probe = std::thread::Builder::new().stack_size(8 << 20).spawn(|| {
+            // `[` x n around a literal nests n + 1 levels, like the JSON text.
+            let nested = |n: usize| format!("RETURN {}1{}", "[".repeat(n), "]".repeat(n));
+            assert!(parse_query(&nested(MAX_DEPTH - 1)).is_ok());
+            for text in [
+                nested(MAX_DEPTH),
+                nested(100_000),
+                format!("RETURN {}1", "!".repeat(100_000)),
+                format!("RETURN {}1", "- ".repeat(100_000)),
+                format!("RETURN {}1{}", "(".repeat(100_000), ")".repeat(100_000)),
+                format!("RETURN {}1", "1 ? ".repeat(100_000)),
+                format!("RETURN {}", "(RETURN ".repeat(100_000)),
+            ] {
+                let err = parse_query(&text).unwrap_err();
+                assert_eq!(err.kind(), "parse", "{err}");
+                assert!(err.to_string().contains("nesting"), "{err}");
+            }
+            let deep_sql = format!("SELECT {}1{} FROM t", "(".repeat(50_000), ")".repeat(50_000));
+            let err = crate::sql::parse_sql(&deep_sql).unwrap_err();
+            assert!(err.to_string().contains("nesting"), "{err}");
+        });
+        probe.unwrap().join().unwrap();
     }
 }

@@ -28,7 +28,7 @@ use crate::parse::Parser;
 /// Parse a SQL SELECT into an MMQL [`Query`].
 pub fn parse_sql(text: &str) -> Result<Query> {
     let tokens = tokenize(text)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let q = parse_select(&mut p)?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after SELECT"));

@@ -1,28 +1,41 @@
 //! Per-connection machinery for the pipelined server.
 //!
-//! Each connection is three cooperating parts:
+//! Each connection is served by one **reader** thread, with help from
+//! the shared executor pool and a lazily-spawned writer:
 //!
-//! * a **reader** thread (spawned at accept) that blocks on the socket,
-//!   decodes frames, and enqueues requests onto the shared executor
-//!   pool — stopping at `pipeline_depth` requests in flight, which is
-//!   the whole backpressure story;
-//! * the **executor pool** (shared, `workers` threads) that runs the
-//!   requests: stateless tagged requests in parallel, everything
-//!   touching session state (and every untagged request, to preserve
-//!   legacy request/response ordering) on the connection's *serial
-//!   lane* — a queue drained by at most one pool job at a time;
-//! * a lazily-spawned **writer** thread that batches completed
-//!   responses off the outbound queue and writes them with one syscall
-//!   per batch. Connections that never pipeline past the handshake
-//!   (e.g. thousands of idle clients) never get a writer.
+//! * the **reader** (spawned at accept) owns the connection's receive
+//!   side and its [`Session`]. It reads into a fixed [`FrameBuf`] — one
+//!   `read` takes in every frame the peer has sent — and serves the
+//!   buffered frames in arrival order:
+//!   - session-affecting requests (`BEGIN`/`COMMIT`/`ABORT`, typed ops,
+//!     DDL) run right there, and their framed responses collect in a
+//!     reader-local buffer;
+//!   - tagged stateless requests (queries, SQL, explain, admin, ping)
+//!     go to the **executor pool** (shared, `workers` threads), at most
+//!     `pipeline_depth` in flight — the reader stops serving frames at
+//!     the cap, which is the whole backpressure story;
+//!   - an id-less stateless request goes to the pool too, and the
+//!     reader waits for its answer before serving the next frame: the
+//!     legacy request/response FIFO contract.
 //!
-//! A connection owns at most one [`Session`]. When the reader retires
-//! with the session still open — client vanished, protocol error,
-//! shutdown — dropping it aborts the transaction (see
-//! `mmdb_core::session`), and the reap is counted in the metrics.
+//!   The collected responses go out in one `write` when no whole frame
+//!   remains buffered (just before the reader would block on the
+//!   socket) and before the reader hands any request to the pool.
+//! * the **writer** thread batches the pool's responses off the
+//!   outbound queue and writes each batch with one syscall. Connections
+//!   that never send a request to the pool never get a writer.
+//!
+//! One party at a time owns the socket's send side (`writing`): when
+//! the writer is mid-batch or has frames queued, the reader's bytes join
+//! its queue instead, so frames never interleave.
+//!
+//! When the reader retires with the session still open — client
+//! vanished, protocol error, shutdown — dropping the session aborts the
+//! transaction (see `mmdb_core::session`), and the reap is counted in the
+//! metrics.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,7 +43,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mmdb_core::Session;
-use mmdb_protocol::{frame, DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
+use mmdb_protocol::frame::{self, FrameBuf, Split};
+use mmdb_protocol::{DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
 use mmdb_repl::feed::{self, CdcBuffer};
 use mmdb_types::codec::value_to_bytes;
 use mmdb_types::{CancelToken, Error, Result, Value};
@@ -40,37 +54,34 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::{Job, ServerInner, SERVER_NAME};
 
-/// One request parked on a connection's serial lane.
-struct LaneJob {
-    id: Option<u64>,
-    req: Request,
-    token: Option<CancelToken>,
-    enqueued: Instant,
-}
+/// Inline responses are written once this many bytes have collected,
+/// even with more whole frames buffered, so a long pipelined burst of
+/// large reads cannot pile up unbounded on the reader.
+const INLINE_FLUSH_BYTES: usize = 64 * 1024;
 
 /// State a connection's reader, writer, and executor jobs share.
 /// One mutex per connection: the queues are small and the hold times
 /// are a few pointer moves.
 struct ConnShared {
-    /// Completed responses as fully framed bytes, oldest first. Bounded
-    /// by construction: the reader admits at most `pipeline_depth`
-    /// requests, so at most that many responses can ever be queued
-    /// (plus one terminal error frame).
+    /// Responses as fully framed bytes, oldest first, waiting for the
+    /// writer: one frame per pool response, one run of frames per
+    /// reader flush that found the writer busy. The reader stops serving
+    /// frames while more than `pipeline_depth` entries wait.
     out: VecDeque<Vec<u8>>,
-    /// Requests decoded but not yet answered.
+    /// Requests handed to the pool but not yet answered.
     inflight: usize,
-    /// Serial-lane backlog (untagged + session-affecting requests).
-    lane: VecDeque<LaneJob>,
-    /// Whether a lane-drainer job is in (or queued for) the pool.
-    lane_running: bool,
+    /// An id-less request is on the pool; the reader serves nothing else
+    /// until it is answered.
+    legacy_pending: bool,
     /// The writer thread, once spawned; the reader joins it on exit.
     writer: Option<JoinHandle<()>>,
     writer_spawned: bool,
-    /// The writer popped a batch and is mid-write (the out queue being
-    /// empty does not mean the socket is quiet).
-    writer_busy: bool,
-    /// The writer hit a write error/timeout: the peer stopped reading.
-    /// Responses are dropped instead of queued from here on.
+    /// The socket's send side is taken: the writer is mid-batch, or the
+    /// reader is writing its inline responses. The out queue being empty
+    /// does not mean the socket is quiet.
+    writing: bool,
+    /// A write failed or timed out: the peer stopped reading. Responses
+    /// are dropped instead of queued from here on.
     dead: bool,
     /// No more requests will arrive; the writer drains and exits.
     closing: bool,
@@ -89,15 +100,11 @@ pub(crate) struct ConnHandle {
     cv: Condvar,
     /// Milliseconds since `epoch` of the last completed frame read.
     last_activity_ms: AtomicU64,
-    /// The reader is mid-frame (first byte arrived): `read_timeout`
-    /// governs, not `idle_timeout`.
+    /// The reader is blocked mid-frame (part of a frame is buffered):
+    /// `read_timeout` governs, not `idle_timeout`.
     mid_frame: AtomicBool,
     /// The connection flipped into replication/CDC push mode.
     streaming: AtomicBool,
-    /// The connection's open transaction, if any. Only serial-lane jobs
-    /// and the retiring reader touch it; the lane runs one job at a
-    /// time, so the lock is uncontended by design.
-    session: Mutex<Option<Session>>,
 }
 
 impl ConnHandle {
@@ -111,11 +118,10 @@ impl ConnHandle {
             state: Mutex::new(ConnShared {
                 out: VecDeque::new(),
                 inflight: 0,
-                lane: VecDeque::new(),
-                lane_running: false,
+                legacy_pending: false,
                 writer: None,
                 writer_spawned: false,
-                writer_busy: false,
+                writing: false,
                 dead: false,
                 closing: false,
             }),
@@ -123,7 +129,6 @@ impl ConnHandle {
             last_activity_ms: AtomicU64::new(0),
             mid_frame: AtomicBool::new(false),
             streaming: AtomicBool::new(false),
-            session: Mutex::new(None),
         }
     }
 
@@ -149,7 +154,7 @@ impl ConnHandle {
             return false;
         }
         let st = self.state.lock();
-        st.inflight == 0 && st.out.is_empty() && st.lane.is_empty() && !st.writer_busy
+        st.inflight == 0 && st.out.is_empty() && !st.writing
     }
 
     fn note_activity(&self) {
@@ -162,50 +167,56 @@ impl ConnHandle {
     pub(crate) fn raw_stream(&self) -> &TcpStream {
         &self.stream
     }
+
+    /// The peer stopped reading: drop everything queued and shut the
+    /// socket down, which also unblocks the reader.
+    fn kill(&self, inner: &ServerInner, st: &mut ConnShared) {
+        st.dead = true;
+        inner.metrics.responses_queued.sub(st.out.len() as u64);
+        st.out.clear();
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.cv.notify_all();
+    }
 }
 
-/// Encode `resp` (tagged with `id` when present) as one wire frame. A
-/// response too large for the frame limit degrades to a framed error —
-/// the request id is preserved so a pipelining client still gets its
-/// answer.
-fn encode_frame(inner: &ServerInner, id: Option<u64>, resp: &Response) -> Vec<u8> {
+/// Append `resp` (tagged with `id` when present) to `out` as one wire
+/// frame. A response too large for the frame limit degrades to a framed
+/// error — the request id is preserved so a pipelining client still
+/// gets its answer.
+fn encode_frame(inner: &ServerInner, id: Option<u64>, resp: &Response, out: &mut Vec<u8>) {
     let max = inner.config.max_frame_len;
     let payload = resp.encode_with_id(id);
-    let mut buf = Vec::with_capacity(payload.len() + frame::HEADER_LEN);
-    if frame::write_frame(&mut buf, &payload, max).is_ok() {
-        return buf;
+    if frame::write_frame(out, &payload, max).is_ok() {
+        return;
     }
     let err = Response::from_error(&Error::Protocol(format!(
         "response of {} bytes exceeds the {} byte frame limit",
         payload.len(),
         max
     )));
-    buf.clear();
-    let _ = frame::write_frame(&mut buf, &err.encode_with_id(id), max);
-    buf
+    let _ = frame::write_frame(out, &err.encode_with_id(id), max);
 }
 
-/// Queue one framed message for the writer, lazily spawning it. Drops
-/// the frame when the writer is dead (the peer stopped reading).
-fn push_frame(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>, bytes: Vec<u8>) {
-    let mut st = conn.state.lock();
+/// Queue framed bytes for the writer, lazily spawning it; the caller
+/// wakes it. Drops them when the connection is dead (the peer stopped
+/// reading).
+fn queue_for_writer(
+    inner: &Arc<ServerInner>,
+    conn: &Arc<ConnHandle>,
+    st: &mut ConnShared,
+    bytes: Vec<u8>,
+) {
     if st.dead {
         return;
     }
     st.out.push_back(bytes);
     inner.metrics.responses_queued.inc();
-    spawn_writer_if_needed(inner, conn, &mut st);
-    conn.cv.notify_all();
+    if !st.writer_spawned {
+        spawn_writer(inner, conn, st);
+    }
 }
 
-fn spawn_writer_if_needed(
-    inner: &Arc<ServerInner>,
-    conn: &Arc<ConnHandle>,
-    st: &mut ConnShared,
-) {
-    if st.writer_spawned {
-        return;
-    }
+fn spawn_writer(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>, st: &mut ConnShared) {
     st.writer_spawned = true;
     let handle = {
         let inner = Arc::clone(inner);
@@ -217,36 +228,28 @@ fn spawn_writer_if_needed(
     };
     match handle {
         Ok(h) => st.writer = Some(h),
-        Err(_) => {
-            // No thread, no flush path: treat it like a dead peer.
-            st.dead = true;
-            st.out.clear();
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
+        // No thread, no flush path: treat it like a dead peer.
+        Err(_) => conn.kill(inner, st),
     }
 }
 
-/// Record the outcome, frame the response, and hand it to the writer,
-/// releasing one slot of the connection's in-flight budget.
-fn finish(
-    inner: &Arc<ServerInner>,
-    conn: &Arc<ConnHandle>,
-    id: Option<u64>,
-    req: &Request,
-    resp: Response,
-    enqueued: Instant,
-) {
+/// Run one pool job: execute the stateless request, record the outcome,
+/// and hand the framed response to the writer, releasing one slot of the
+/// connection's in-flight budget.
+pub(crate) fn run_job(inner: &Arc<ServerInner>, job: Job) {
+    let Job { conn, id, req, token, enqueued } = job;
+    let resp = run_stateless(inner, &req, token).unwrap_or_else(|e| Response::from_error(&e));
     let ok = !matches!(resp, Response::Err { .. });
-    inner.metrics.record_request(req, ok, enqueued.elapsed());
-    let bytes = encode_frame(inner, id, &resp);
+    inner.metrics.record_request(&req, ok, enqueued.elapsed());
+    let mut bytes = Vec::new();
+    encode_frame(inner, id, &resp, &mut bytes);
     let mut st = conn.state.lock();
     st.inflight -= 1;
-    inner.metrics.inflight_requests.dec();
-    if !st.dead {
-        st.out.push_back(bytes);
-        inner.metrics.responses_queued.inc();
-        spawn_writer_if_needed(inner, conn, &mut st);
+    if id.is_none() {
+        st.legacy_pending = false;
     }
+    inner.metrics.inflight_requests.dec();
+    queue_for_writer(inner, &conn, &mut st, bytes);
     conn.cv.notify_all();
 }
 
@@ -263,16 +266,16 @@ fn writer_loop(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
                 if st.dead {
                     return;
                 }
-                if !st.out.is_empty() {
-                    st.writer_busy = true;
+                if !st.out.is_empty() && !st.writing {
+                    st.writing = true;
                     // Claimed frames leave the gauge here, under the
                     // lock: `responses_queued` counts frames waiting
                     // for the writer, not bytes in flight to the
-                    // kernel (that window is `writer_busy`).
+                    // kernel (that window is `writing`).
                     inner.metrics.responses_queued.sub(st.out.len() as u64);
                     break std::mem::take(&mut st.out);
                 }
-                if st.closing && st.inflight == 0 {
+                if st.closing && st.inflight == 0 && st.out.is_empty() {
                     return;
                 }
                 // lint: allow(blocking, the writer parks between batches by design; it runs on its own thread, not the reader)
@@ -286,19 +289,11 @@ fn writer_loop(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
         }
         let result = write_all_bounded(&conn.stream, &buf, inner.config.write_timeout);
         let mut st = conn.state.lock();
-        st.writer_busy = false;
+        st.writing = false;
         if result.is_err() {
-            st.dead = true;
-            inner.metrics.responses_queued.sub(st.out.len() as u64);
-            st.out.clear();
-            drop(st);
-            // Unblock the reader too: with the peer not reading, the
-            // connection is beyond saving.
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            conn.cv.notify_all();
+            conn.kill(inner, &mut st);
             return;
         }
-        drop(st);
         conn.cv.notify_all();
     }
 }
@@ -328,137 +323,312 @@ fn write_all_bounded(stream: &TcpStream, buf: &[u8], timeout: Duration) -> Resul
     Ok(())
 }
 
-/// Outcome of one blocking frame read.
-enum FrameRead {
-    Frame(Vec<u8>),
-    /// Clean end: EOF between frames, idle reap, or shutdown.
-    Closed,
+/// The connection died under a write: the peer stopped reading.
+fn peer_gone() -> Error {
+    Error::Storage("peer stopped reading responses".into())
 }
 
-/// Read one frame. Blocks indefinitely for the first byte (idle is the
-/// reaper's job — it shuts the socket down under us, which reads as
-/// EOF); once a frame has started, the *whole frame* must arrive within
-/// `read_timeout` or the connection is cut off with a stall error.
-fn read_frame_blocking(inner: &ServerInner, conn: &ConnHandle) -> Result<FrameRead> {
-    let stream = &conn.stream;
-    let mut r = stream;
-    let mut header = [0u8; frame::HEADER_LEN];
-    // Phase 1: first byte, no deadline.
-    let _ = stream.set_read_timeout(None);
-    loop {
-        match r.read(&mut header[..1]) {
-            Ok(0) => return Ok(FrameRead::Closed),
-            Ok(_) => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            // A stray timeout despite no deadline: just keep waiting.
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) => return Err(e.into()),
+/// Session-affecting requests: they run on the reader, in arrival order.
+fn is_session_request(req: &Request) -> bool {
+    matches!(
+        req,
+        Request::Begin { .. } | Request::Commit | Request::Abort | Request::Op(_) | Request::Ddl(_)
+    )
+}
+
+/// A connection reader's own state: receive buffer, responses not yet
+/// written, the frame deadline, and the connection's transaction.
+struct Reader<'a> {
+    inner: &'a Arc<ServerInner>,
+    conn: &'a Arc<ConnHandle>,
+    rbuf: FrameBuf,
+    /// Framed responses to requests run on the reader, not yet written.
+    wbuf: Vec<u8>,
+    /// When the frame being read must be complete; set once the reader
+    /// blocks with part of a frame buffered.
+    deadline: Option<Instant>,
+    /// A read timeout is set on the socket (only while mid-frame).
+    timeout_set: bool,
+    /// The connection's open transaction, if any.
+    session: Option<Session>,
+}
+
+impl<'a> Reader<'a> {
+    fn new(inner: &'a Arc<ServerInner>, conn: &'a Arc<ConnHandle>) -> Reader<'a> {
+        Reader {
+            inner,
+            conn,
+            rbuf: FrameBuf::default(),
+            wbuf: Vec::new(),
+            deadline: None,
+            timeout_set: false,
+            session: None,
         }
     }
-    // Phase 2: the rest of the frame, under one shared deadline.
-    conn.mid_frame.store(true, Ordering::Relaxed); // lint: allow(relaxed, reaper heuristic flag; no synchronization role)
-    let deadline = Instant::now() + inner.config.read_timeout;
-    let result = (|| {
-        read_exact_deadline(inner, stream, &mut header[1..], deadline)?;
-        let len = u32::from_be_bytes(header);
-        if len > inner.config.max_frame_len {
-            return Err(Error::Protocol(format!(
-                "incoming frame announces {len} bytes, exceeding the {} byte limit",
-                inner.config.max_frame_len
-            )));
-        }
-        let mut payload = vec![0u8; len as usize];
-        read_exact_deadline(inner, stream, &mut payload, deadline)?;
-        Ok(FrameRead::Frame(payload))
-    })();
-    conn.mid_frame.store(false, Ordering::Relaxed); // lint: allow(relaxed, reaper heuristic flag; no synchronization role)
-    result
-}
 
-fn read_exact_deadline(
-    inner: &ServerInner,
-    stream: &TcpStream,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> Result<()> {
-    let mut r = stream;
-    let mut filled = 0usize;
-    while filled < buf.len() {
+    /// The next request, in arrival order; `None` on a clean end (EOF
+    /// between frames: the peer closed, the idle reaper, or shutdown).
+    ///
+    /// Whole frames already buffered cost no syscall. Before blocking on
+    /// the socket the reader writes its pending responses. Between
+    /// frames it blocks with no deadline (idle is the reaper's job); once
+    /// part of a frame is buffered, the *whole frame* must arrive within
+    /// `read_timeout` or the connection is cut off with a stall error.
+    fn next_request(&mut self) -> Result<Option<(Option<u64>, Request)>> {
+        let max = self.inner.config.max_frame_len;
+        loop {
+            match self.rbuf.split(max)? {
+                Split::Whole(_) => {
+                    self.end_frame();
+                    let payload = self.rbuf.next_frame(max)?.unwrap_or_default();
+                    return Request::decode_with_id(payload).map(Some);
+                }
+                // Larger than the buffer: read straight into its own
+                // allocation, under the same whole-frame deadline.
+                Split::Payload(len) if self.rbuf.oversized(len) => {
+                    self.write_responses()?;
+                    let deadline = self.begin_frame();
+                    let (mut payload, mut filled) = self.rbuf.take_oversized(len);
+                    while filled < len {
+                        let unfilled = &mut payload[filled..];
+                        filled += self.read_mid_frame(deadline, |r| {
+                            std::io::Read::read(&mut &r.conn.stream, unfilled)
+                        })?;
+                    }
+                    self.end_frame();
+                    return Request::decode_with_id(&payload).map(Some);
+                }
+                Split::Header | Split::Payload(_) => {
+                    self.write_responses()?;
+                    if self.rbuf.is_empty() {
+                        if self.read_between_frames()? == 0 {
+                            return Ok(None);
+                        }
+                    } else {
+                        let deadline = self.begin_frame();
+                        self.read_mid_frame(deadline, |r| r.rbuf.fill(&mut &r.conn.stream))?;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Block for the first bytes of a frame, with no deadline.
+    fn read_between_frames(&mut self) -> Result<usize> {
+        if self.timeout_set {
+            let _ = self.conn.stream.set_read_timeout(None);
+            self.timeout_set = false;
+        }
+        loop {
+            match self.rbuf.fill(&mut &self.conn.stream) {
+                Ok(n) => return Ok(n),
+                // A stray timeout despite no deadline: keep waiting.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut
+                    ) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// One read of more bytes of the current frame, which must be
+    /// complete by `deadline`. Returns the bytes read (a timed-out read
+    /// counts zero and the caller's loop re-checks the deadline).
+    fn read_mid_frame(
+        &mut self,
+        deadline: Instant,
+        read: impl FnOnce(&mut Self) -> std::io::Result<usize>,
+    ) -> Result<usize> {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(Error::Storage(format!(
                 "read stalled mid-frame for {:?}",
-                inner.config.read_timeout
+                self.inner.config.read_timeout
             )));
         }
-        let _ = stream.set_read_timeout(Some(remaining));
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => return Err(Error::Protocol("connection closed mid-frame".into())),
-            Ok(n) => filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+        let _ = self.conn.stream.set_read_timeout(Some(remaining));
+        self.timeout_set = true;
+        match read(self) {
+            Ok(0) => Err(Error::Protocol("connection closed mid-frame".into())),
+            Ok(n) => Ok(n),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(0)
+            }
+            Err(e) => Err(e.into()),
         }
     }
-    Ok(())
+
+    /// The reader is about to block with part of a frame buffered:
+    /// start the frame's deadline, if not already running.
+    fn begin_frame(&mut self) -> Instant {
+        *self.deadline.get_or_insert_with(|| {
+            self.conn.mid_frame.store(true, Ordering::Relaxed); // lint: allow(relaxed, reaper heuristic flag; no synchronization role)
+            Instant::now() + self.inner.config.read_timeout
+        })
+    }
+
+    /// A whole frame is in hand.
+    fn end_frame(&mut self) {
+        if self.deadline.take().is_some() {
+            self.conn.mid_frame.store(false, Ordering::Relaxed); // lint: allow(relaxed, reaper heuristic flag; no synchronization role)
+        }
+        self.conn.note_activity();
+    }
+
+    /// Frame `resp` into the pending responses, recording the outcome.
+    fn respond(&mut self, id: Option<u64>, req: &Request, resp: Response, started: Instant) {
+        let ok = !matches!(resp, Response::Err { .. });
+        self.inner.metrics.record_request(req, ok, started.elapsed());
+        encode_frame(self.inner, id, &resp, &mut self.wbuf);
+    }
+
+    /// Run a session-affecting request here, in arrival order.
+    fn run_inline(&mut self, id: Option<u64>, req: &Request) -> Result<()> {
+        let started = Instant::now();
+        let resp = run_session_request(self.inner, &mut self.session, req)
+            .unwrap_or_else(|e| Response::from_error(&e));
+        self.respond(id, req, resp, started);
+        if self.wbuf.len() >= INLINE_FLUSH_BYTES {
+            self.write_responses()?;
+        }
+        Ok(())
+    }
+
+    /// Write the pending responses: with one `write` when the socket's
+    /// send side is free, else through the writer's queue (behind the
+    /// frames already there). Fails when the peer stopped reading.
+    fn write_responses(&mut self) -> Result<()> {
+        if self.wbuf.is_empty() {
+            return Ok(());
+        }
+        let (inner, conn) = (self.inner, self.conn);
+        let mut st = conn.state.lock();
+        if st.writing || !st.out.is_empty() {
+            queue_for_writer(inner, conn, &mut st, std::mem::take(&mut self.wbuf));
+            conn.cv.notify_all();
+            // Do not run ahead of a slow writer.
+            let depth = inner.config.pipeline_depth.max(1);
+            while st.out.len() > depth && !st.dead {
+                // lint: allow(blocking, response backpressure; the writer's writes are bounded by write_timeout)
+                conn.cv.wait(&mut st);
+            }
+        } else if !st.dead {
+            st.writing = true;
+            drop(st);
+            let result = write_all_bounded(&conn.stream, &self.wbuf, inner.config.write_timeout);
+            self.wbuf.clear();
+            st = conn.state.lock();
+            st.writing = false;
+            match result {
+                Err(_) => conn.kill(inner, &mut st),
+                // Frames the writer could not start on while the reader
+                // held the socket.
+                Ok(()) if !st.out.is_empty() => conn.cv.notify_all(),
+                Ok(()) => {}
+            }
+        }
+        if st.dead {
+            self.wbuf.clear();
+            return Err(peer_gone());
+        }
+        Ok(())
+    }
+
+    /// Hand a stateless request to the pool, under the pipeline-depth
+    /// cap. An id-less one is answered before the reader serves the next
+    /// frame. Fails once the peer stopped reading.
+    fn run_pooled(&mut self, id: Option<u64>, req: Request) -> Result<()> {
+        // Queries get their cancellation budget *now*: time spent
+        // waiting in the pipeline counts against the deadline.
+        let token = match &req {
+            Request::Query { deadline_ms, .. }
+            | Request::Sql { deadline_ms, .. }
+            | Request::Explain { deadline_ms, .. } => Some(query_budget(self.inner, *deadline_ms)),
+            _ => None,
+        };
+        self.write_responses()?;
+        let (inner, conn) = (self.inner, self.conn);
+        // Admission under the pipeline-depth cap: stop serving frames
+        // until a slot frees. This is the backpressure.
+        {
+            let depth = inner.config.pipeline_depth.max(1);
+            let mut st = conn.state.lock();
+            if st.inflight >= depth {
+                inner.metrics.pipeline_stalls.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed, monotonic metric counter; no synchronization role)
+            }
+            while st.inflight >= depth && !st.dead {
+                // lint: allow(blocking, pipeline-depth backpressure; the reader must stop pulling frames until a slot frees)
+                conn.cv.wait(&mut st);
+            }
+            if st.dead {
+                return Err(peer_gone());
+            }
+            st.inflight += 1;
+            st.legacy_pending = id.is_none();
+        }
+        inner.metrics.inflight_requests.inc();
+        inner.enqueue(Job { conn: Arc::clone(conn), id, req, token, enqueued: Instant::now() });
+        if id.is_none() {
+            let mut st = conn.state.lock();
+            while st.legacy_pending && !st.dead {
+                // lint: allow(blocking, legacy FIFO: an id-less request is answered before the next frame is served)
+                conn.cv.wait(&mut st);
+            }
+            if st.dead {
+                return Err(peer_gone());
+            }
+        }
+        Ok(())
+    }
 }
 
-/// The connection's reader loop: decode frames, admit them under the
-/// pipeline-depth cap, route to the serial lane or the parallel pool.
-/// Owns the connection's whole lifecycle — on exit it flushes a
-/// terminal error (if any), drains and joins the writer, aborts an
-/// orphaned transaction, and unregisters.
+/// The connection's reader loop: frame requests, run session-affecting
+/// ones in place, hand stateless ones to the pool. Owns the connection's
+/// whole lifecycle — on exit it flushes a terminal error (if any),
+/// drains and joins the writer, aborts an orphaned transaction, and
+/// unregisters.
 pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
     inner.metrics.connections_active.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed, metric gauge read only by ADMIN STATS; no synchronization role)
     conn.note_activity();
+    let mut reader = Reader::new(inner, conn);
     let mut hello_done = false;
     // A fatal protocol/stall error to report before closing, tagged
     // with the offending request's id when one was decoded.
     let mut fatal: Option<(Option<u64>, Error)> = None;
 
     loop {
-        let payload = match read_frame_blocking(inner, conn) {
-            Ok(FrameRead::Frame(p)) => p,
-            Ok(FrameRead::Closed) => break,
-            Err(e) => {
-                fatal = Some((None, e));
-                break;
-            }
-        };
-        conn.note_activity();
-        let (id, request) = match Request::decode_with_id(&payload) {
-            Ok(decoded) => decoded,
+        let (id, request) = match reader.next_request() {
+            Ok(Some(decoded)) => decoded,
+            Ok(None) => break,
             Err(e) => {
                 fatal = Some((None, e));
                 break;
             }
         };
 
-        // The handshake happens inline on the reader: no writer exists
-        // yet (nothing has been enqueued), so the reader may write.
         if !hello_done {
             let started = Instant::now();
-            let result = match &request {
+            let resp = match &request {
                 Request::Hello { version } if *version == PROTOCOL_VERSION => {
                     hello_done = true;
-                    Ok(Response::Hello { version: PROTOCOL_VERSION, server: SERVER_NAME.into() })
+                    Response::Hello { version: PROTOCOL_VERSION, server: SERVER_NAME.into() }
                 }
-                Request::Hello { version } => Err(Error::Protocol(format!(
+                Request::Hello { version } => Response::from_error(&Error::Protocol(format!(
                     "protocol version mismatch: client {version}, server {PROTOCOL_VERSION}"
                 ))),
-                _ => Err(Error::Protocol("first request must be 'hello'".into())),
+                _ => Response::from_error(&Error::Protocol(
+                    "first request must be 'hello'".into(),
+                )),
             };
-            let resp = match result {
-                Ok(r) => r,
-                Err(e) => Response::from_error(&e),
-            };
-            let ok = !matches!(resp, Response::Err { .. });
-            inner.metrics.record_request(&request, ok, started.elapsed());
-            let mut w = &conn.stream;
-            if frame::write_frame(&mut w, &resp.encode_with_id(id), inner.config.max_frame_len)
-                .is_err()
-                || !hello_done
-            {
+            reader.respond(id, &request, resp, started);
+            if !hello_done {
                 break;
             }
             continue;
@@ -474,11 +644,14 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
                 ));
                 break;
             }
-            // Quiesce: every admitted request answered and flushed
-            // before the reader takes over the write side.
+            // Quiesce: every earlier request answered and flushed before
+            // the reader takes over the write side.
+            if reader.write_responses().is_err() {
+                break;
+            }
             {
                 let mut st = conn.state.lock();
-                while !st.dead && (st.inflight > 0 || !st.out.is_empty() || st.writer_busy) {
+                while !st.dead && (st.inflight > 0 || !st.out.is_empty() || st.writing) {
                     // lint: allow(blocking, one-time drain before the SUBSCRIBE handoff; the connection becomes a dedicated stream after this)
                     conn.cv.wait(&mut st);
                 }
@@ -499,80 +672,23 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
             break;
         }
 
-        // Queries get their cancellation budget *now*: time spent
-        // waiting in the pipeline counts against the deadline.
-        let token = match &request {
-            Request::Query { deadline_ms, .. }
-            | Request::Sql { deadline_ms, .. }
-            | Request::Explain { deadline_ms, .. } => Some(query_budget(inner, *deadline_ms)),
-            _ => None,
+        let served = if is_session_request(&request) {
+            reader.run_inline(id, &request)
+        } else {
+            reader.run_pooled(id, request)
         };
-
-        // Admission under the pipeline-depth cap: stop pulling frames
-        // off the socket until a slot frees. This is the backpressure.
-        {
-            let depth = inner.config.pipeline_depth.max(1);
-            let mut st = conn.state.lock();
-            if st.inflight >= depth {
-                inner.metrics.pipeline_stalls.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed, monotonic metric counter; no synchronization role)
-            }
-            while st.inflight >= depth && !st.dead {
-                // lint: allow(blocking, pipeline-depth backpressure; the reader must stop pulling frames until a slot frees)
-                conn.cv.wait(&mut st);
-            }
-            if st.dead {
-                break;
-            }
-            st.inflight += 1;
-        }
-        inner.metrics.inflight_requests.inc();
-
-        // Untagged requests keep strict legacy ordering; tagged
-        // session-affecting requests still need the lane so transaction
-        // state mutates in submission order. Tagged stateless requests
-        // run fully parallel.
-        let lane_bound = id.is_none()
-            || matches!(
-                request,
-                Request::Begin { .. }
-                    | Request::Commit
-                    | Request::Abort
-                    | Request::Op(_)
-                    | Request::Ddl(_)
-            );
-        let enqueued = Instant::now();
-        if lane_bound {
-            let mut st = conn.state.lock();
-            st.lane.push_back(LaneJob { id, req: request, token, enqueued });
-            let need_drainer = !st.lane_running;
-            st.lane_running = true;
-            drop(st);
-            if need_drainer {
-                inner.enqueue(Job::Lane { conn: Arc::clone(conn) });
-            }
-        } else {
-            inner.enqueue(Job::Direct {
-                conn: Arc::clone(conn),
-                id,
-                req: request,
-                token,
-                enqueued,
-            });
+        if served.is_err() {
+            // The peer stopped reading; nothing more can reach it.
+            break;
         }
     }
 
-    // Retirement. Report the fatal error (pre-handshake: inline, no
-    // writer can exist; post-handshake: through the queue so it cannot
-    // interleave with a concurrent writer flush), then drain.
+    // Retirement. Report the fatal error behind every earlier response,
+    // then drain.
     if let Some((fatal_id, e)) = fatal {
-        let resp = Response::from_error(&e);
-        if hello_done {
-            push_frame(inner, conn, encode_frame(inner, fatal_id, &resp));
-        } else {
-            let mut w = &conn.stream;
-            let _ = frame::write_frame(&mut w, &resp.encode(), inner.config.max_frame_len);
-        }
+        encode_frame(inner, fatal_id, &Response::from_error(&e), &mut reader.wbuf);
     }
+    let _ = reader.write_responses();
     let writer = {
         let mut st = conn.state.lock();
         st.closing = true;
@@ -582,56 +698,13 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
     if let Some(handle) = writer {
         let _ = handle.join();
     }
-    if let Some(session) = conn.session.lock().take() {
+    if let Some(session) = reader.session.take() {
         inner.metrics.sessions_reaped.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed, monotonic metric counter; no synchronization role)
         drop(session); // abort-on-drop
     }
     inner.unregister(conn.id);
     inner.metrics.connections_active.fetch_sub(1, Ordering::Relaxed); // lint: allow(relaxed, metric gauge read only by ADMIN STATS; no synchronization role)
     inner.note_conn_gone();
-}
-
-/// Execute one stateless tagged request on the pool.
-pub(crate) fn run_direct(
-    inner: &Arc<ServerInner>,
-    conn: &Arc<ConnHandle>,
-    id: Option<u64>,
-    req: &Request,
-    token: Option<CancelToken>,
-    enqueued: Instant,
-) {
-    let resp = match run_stateless(inner, req, token) {
-        Ok(resp) => resp,
-        Err(e) => Response::from_error(&e),
-    };
-    finish(inner, conn, id, req, resp, enqueued);
-}
-
-/// Drain one connection's serial lane: run queued jobs in order until
-/// the lane is empty. At most one drainer per connection is ever in the
-/// pool (see `lane_running`), which is what makes the lane serial —
-/// and what batches a pipelined burst of ops into one pool activation.
-pub(crate) fn run_lane(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
-    loop {
-        let job = {
-            let mut st = conn.state.lock();
-            match st.lane.pop_front() {
-                Some(job) => job,
-                None => {
-                    st.lane_running = false;
-                    return;
-                }
-            }
-        };
-        let resp = {
-            let mut session = conn.session.lock();
-            match run_session_request(inner, &mut session, &job.req, job.token) {
-                Ok(resp) => resp,
-                Err(e) => Response::from_error(&e),
-            }
-        };
-        finish(inner, conn, job.id, &job.req, resp, job.enqueued);
-    }
 }
 
 /// Requests that never touch per-connection session state. These run
@@ -680,13 +753,12 @@ fn run_stateless(
     })
 }
 
-/// Full dispatch for serial-lane jobs: session-affecting requests plus
-/// anything stateless an untagged client sent (delegated).
+/// Session-affecting requests, run on the connection's reader against
+/// its open transaction (if any).
 fn run_session_request(
     inner: &ServerInner,
     session: &mut Option<Session>,
     req: &Request,
-    token: Option<CancelToken>,
 ) -> Result<Response> {
     let db = &inner.db;
     Ok(match req {
@@ -742,14 +814,11 @@ fn run_session_request(
             }
         }
         Request::Ddl(op) => apply_ddl(db, op)?,
-        // Handled before dispatch (they change the connection mode);
-        // reaching here is a logic error.
-        Request::ReplicaHello { .. } | Request::Subscribe { .. } => {
+        _ => {
             return Err(Error::Internal(
-                "stream request reached request/response dispatch".into(),
+                "non-session request reached the session executor".into(),
             ))
         }
-        stateless => run_stateless(inner, stateless, token)?,
     })
 }
 
@@ -759,6 +828,7 @@ fn run_session_request(
 /// `SUBSCRIBE` (`cdc`) gets decoded committed writes only. Runs on the
 /// connection's reader thread (the pipeline is quiesced first, so the
 /// reader owns the write side) until the peer or the server goes away.
+/// Each change goes out as one frame in one write.
 fn serve_stream(inner: &ServerInner, conn: &ConnHandle, from_lsn: u64, cdc: bool) -> Result<()> {
     const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
     const BATCH: usize = 256;

@@ -4,25 +4,28 @@
 //! `mmdb-protocol` wire format. Deliberately `std::net` only: the
 //! concurrency model is legible and the dependency count is zero.
 //!
-//! ## Pipelined request execution
+//! ## Connection anatomy
 //!
 //! One connection may carry many in-flight requests. Each connection
-//! gets a cheap blocking **reader** thread that decodes frames and
-//! enqueues them onto a shared **executor pool** (`workers` threads);
-//! a lazily-spawned per-connection **writer** thread drains a bounded
-//! outbound queue, so responses complete out of order when the client
-//! tags requests with ids (see `mmdb-protocol`). Untagged (legacy)
-//! requests keep strict request/response ordering: they run on a
-//! per-connection *serial lane*, as do all session-affecting requests
-//! (`BEGIN`/`COMMIT`/`ABORT`/typed ops/DDL) so transaction state stays
-//! coherent under concurrency. Stateless tagged requests (queries,
-//! ping, admin) go straight to the parallel pool.
+//! gets a blocking **reader** thread that reads frames through a fixed
+//! buffer (one `read` per burst of frames) and serves them in arrival
+//! order. Session-affecting requests (`BEGIN`/`COMMIT`/`ABORT`, typed
+//! ops, DDL) run on the reader itself, so transaction state mutates in
+//! submission order with no thread hop; their responses are written in
+//! one `write` per burst. Stateless requests (queries, SQL, explain,
+//! admin, ping) go to a shared **executor pool** (`workers` threads),
+//! and a lazily-spawned per-connection **writer** thread sends their
+//! responses — out of order when the client tags requests with ids (see
+//! `mmdb-protocol`). Untagged (legacy) requests keep strict
+//! request/response ordering: the reader waits for an untagged pool
+//! request's answer before it serves the next frame.
 //!
-//! * **Backpressure** — at most `pipeline_depth` requests may be
-//!   in flight per connection: the reader stops pulling frames off the
-//!   socket at the cap, which bounds the outbound queue by construction
-//!   and pushes back through TCP. New arrivals past `max_connections`
-//!   get a framed `busy` error.
+//! * **Backpressure** — at most `pipeline_depth` requests may be on the
+//!   pool per connection, and at most that many response batches may
+//!   wait for the writer: the reader stops serving frames at either cap
+//!   (its fixed buffer then fills and it stops reading), which pushes
+//!   back through TCP. New arrivals past `max_connections` get a framed
+//!   `busy` error.
 //! * **Timeouts** — a frame that stalls mid-read is cut off after
 //!   `read_timeout`; idle connections (no frame in progress, nothing in
 //!   flight) are reaped after `idle_timeout` by a background sweeper
@@ -61,11 +64,22 @@ use conn::ConnHandle;
 /// Server identification string sent in the handshake.
 pub const SERVER_NAME: &str = concat!("mmdb/", env!("CARGO_PKG_VERSION"));
 
-/// Stack size for per-connection reader/writer threads. Connection
-/// threads mostly sit in blocking reads; request execution happens on
-/// the executor pool's default-stack threads, so these can be small —
-/// which is what makes tens of thousands of idle connections cheap.
-pub(crate) const CONN_STACK_BYTES: usize = 256 * 1024;
+/// Stack size for per-connection reader/writer threads — small, which
+/// is what makes tens of thousands of idle connections cheap. A reader
+/// decodes requests and runs session-affecting ones itself; the value
+/// recursion in both (decode, clone, encode, drop) is bounded by the
+/// wire decoder's nesting cap (`mmdb_protocol::MAX_WIRE_DEPTH`), which
+/// fits in 256 KiB of optimized frames. Unoptimized builds' frames are
+/// several times larger, so they get more. Queries, whose parser and
+/// evaluator recurse deeper, run on the executor pool.
+pub(crate) const CONN_STACK_BYTES: usize =
+    if cfg!(debug_assertions) { 1024 * 1024 } else { 256 * 1024 };
+
+/// Stack size for executor threads. The query parser caps expression
+/// nesting at `mmdb_types::json::MAX_DEPTH`; parsing and evaluating a
+/// query that deep needs more than the default 2 MiB in unoptimized
+/// builds. Untouched stack pages cost no memory.
+const EXEC_STACK_BYTES: usize = 8 * 1024 * 1024;
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -139,21 +153,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// One unit of work for the executor pool.
-pub(crate) enum Job {
-    /// A stateless tagged request: runs on any executor, any order.
-    Direct {
-        conn: Arc<ConnHandle>,
-        id: Option<u64>,
-        req: Request,
-        token: Option<CancelToken>,
-        enqueued: Instant,
-    },
-    /// Drain one connection's serial lane (untagged and
-    /// session-affecting requests, in arrival order). At most one lane
-    /// job per connection is ever in the pool, which is what serializes
-    /// the lane.
-    Lane { conn: Arc<ConnHandle> },
+/// One unit of work for the executor pool: a stateless request (query,
+/// SQL, explain, admin, ping) from one connection. Runs on any executor;
+/// tagged ones complete in any order.
+pub(crate) struct Job {
+    pub(crate) conn: Arc<ConnHandle>,
+    pub(crate) id: Option<u64>,
+    pub(crate) req: Request,
+    pub(crate) token: Option<CancelToken>,
+    pub(crate) enqueued: Instant,
 }
 
 /// State shared by the acceptor, connection threads, the executor pool,
@@ -292,6 +300,7 @@ impl Server {
             let worker = Arc::clone(&inner);
             let handle = std::thread::Builder::new()
                 .name(format!("mmdb-exec-{i}"))
+                .stack_size(EXEC_STACK_BYTES)
                 .spawn(move || executor_loop(&worker))
                 .map_err(|e| spawn_failed(&inner, "executor", e))?;
             executors.push(handle);
@@ -492,12 +501,7 @@ fn executor_loop(inner: &Arc<ServerInner>) {
             }
         };
         let Some(job) = job else { return };
-        match job {
-            Job::Direct { conn, id, req, token, enqueued } => {
-                conn::run_direct(inner, &conn, id, &req, token, enqueued);
-            }
-            Job::Lane { conn } => conn::run_lane(inner, &conn),
-        }
+        conn::run_job(inner, job);
     }
 }
 

@@ -113,7 +113,6 @@ pub fn write_snapshot(
     let mut out =
         File::create(&tmp).map_err(|e| Error::Storage(format!("snapshot tmp: {e}")))?;
     out.write_all(&framed[..write_len])
-        // lint: allow(blocking, snapshot durability is the contract; only reached via an explicit checkpoint)
         .and_then(|()| out.sync_all())
         .map_err(|e| Error::Storage(format!("snapshot write: {e}")))?;
     drop(out);
@@ -128,7 +127,6 @@ pub fn write_snapshot(
     std::fs::rename(&tmp, snapshot_path(dir))
         .map_err(|e| Error::Storage(format!("snapshot rename: {e}")))?;
     if let Ok(d) = File::open(dir) {
-        // lint: allow(blocking, directory fsync publishes the snapshot rename; checkpoint path only)
         let _ = d.sync_all();
     }
     Ok(framed.len() as u64)

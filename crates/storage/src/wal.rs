@@ -548,7 +548,6 @@ impl Wal {
             "checkpoint marker append: {msg}"
         )));
         let lsn = self.append(&WalRecord::Checkpoint { snapshot_lsn })?;
-        // lint: allow(blocking, the checkpoint marker must be durable before truncation may proceed)
         self.sync()?;
         Ok(lsn)
     }
@@ -613,7 +612,6 @@ impl Wal {
             File::create(&tmp).map_err(|e| Error::Storage(format!("wal truncate tmp: {e}")))?;
         out.write_all(&encode_wal_header(horizon))
             .and_then(|()| out.write_all(&suffix))
-            // lint: allow(blocking, the truncated log must be durable before the rename swaps it in; checkpoint path only)
             .and_then(|()| out.sync_all())
             .map_err(|e| Error::Storage(format!("wal truncate write: {e}")))?;
         std::fs::rename(&tmp, path)
@@ -623,7 +621,6 @@ impl Wal {
         // handle at the new inode.
         if let Some(dir) = path.parent() {
             if let Ok(d) = File::open(dir) {
-                // lint: allow(blocking, directory fsync publishes the truncation rename; checkpoint path only)
                 let _ = d.sync_all();
             }
         }

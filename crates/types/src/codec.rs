@@ -76,12 +76,39 @@ pub fn value_to_bytes(v: &Value) -> Bytes {
     b.freeze()
 }
 
-/// Decode one value from the front of `buf`, advancing it.
+/// Decode one value from the front of `buf`, advancing it. No nesting
+/// limit: this reads what the engine itself wrote.
 pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
+    decode_nested(buf, usize::MAX)
+}
+
+/// Decode a value from a complete buffer, rejecting trailing bytes.
+pub fn value_from_bytes(buf: &[u8]) -> Result<Value> {
+    value_from_bytes_bounded(buf, usize::MAX)
+}
+
+/// [`value_from_bytes`] for untrusted input: nesting deeper than
+/// `max_depth` levels (a scalar is one level, as in
+/// [`json::MAX_DEPTH`](crate::json::MAX_DEPTH)) is an error before the
+/// decoder recurses any further, so a hostile payload cannot overflow
+/// the stack.
+pub fn value_from_bytes_bounded(mut buf: &[u8], max_depth: usize) -> Result<Value> {
+    let v = decode_nested(&mut buf, max_depth)?;
+    if !buf.is_empty() {
+        return Err(Error::Storage("trailing bytes after value".into()));
+    }
+    Ok(v)
+}
+
+/// Decode one value allowed at most `depth` levels of nesting.
+fn decode_nested(buf: &mut &[u8], depth: usize) -> Result<Value> {
     let corrupt = || Error::Storage("corrupt value encoding".into());
     if buf.is_empty() {
         return Err(corrupt());
     }
+    let Some(inner) = depth.checked_sub(1) else {
+        return Err(Error::Storage("value nesting exceeds the depth limit".into()));
+    };
     let tag = buf.get_u8();
     Ok(match tag {
         TAG_NULL => Value::Null,
@@ -116,7 +143,7 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
             let n = get_varint(buf)? as usize;
             let mut items = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                items.push(decode_value(buf)?);
+                items.push(decode_nested(buf, inner)?);
             }
             Value::Array(items)
         }
@@ -132,21 +159,12 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
                     .map_err(|_| corrupt())?
                     .to_string();
                 buf.advance(klen);
-                obj.insert(k, decode_value(buf)?);
+                obj.insert(k, decode_nested(buf, inner)?);
             }
             Value::Object(obj)
         }
         _ => return Err(corrupt()),
     })
-}
-
-/// Decode a value from a complete buffer, rejecting trailing bytes.
-pub fn value_from_bytes(mut buf: &[u8]) -> Result<Value> {
-    let v = decode_value(&mut buf)?;
-    if !buf.is_empty() {
-        return Err(Error::Storage("trailing bytes after value".into()));
-    }
-    Ok(v)
 }
 
 fn zigzag(i: i64) -> u64 {
@@ -304,6 +322,38 @@ mod tests {
         let b = value_to_bytes(v);
         let back = value_from_bytes(&b).unwrap();
         assert_eq!(&back, v);
+    }
+
+    /// `depth` levels of nesting as the JSON parser counts them: arrays
+    /// around one scalar.
+    fn nested(depth: usize) -> Value {
+        (1..depth).fold(Value::int(1), |v, _| Value::Array(vec![v]))
+    }
+
+    #[test]
+    fn bounded_decoding_counts_depth_like_the_json_parser() {
+        use crate::json::MAX_DEPTH;
+        let at_cap = nested(MAX_DEPTH);
+        assert_eq!(from_json(&crate::json::to_json(&at_cap)).unwrap(), at_cap);
+        let bytes = value_to_bytes(&at_cap);
+        assert_eq!(value_from_bytes_bounded(&bytes, MAX_DEPTH).unwrap(), at_cap);
+
+        let too_deep = nested(MAX_DEPTH + 1);
+        assert!(from_json(&crate::json::to_json(&too_deep)).is_err());
+        let bytes = value_to_bytes(&too_deep);
+        let err = value_from_bytes_bounded(&bytes, MAX_DEPTH).unwrap_err();
+        assert!(err.to_string().contains("depth"), "{err}");
+        // Storage decoding keeps reading whatever the engine wrote.
+        assert_eq!(value_from_bytes(&bytes).unwrap(), too_deep);
+    }
+
+    #[test]
+    fn a_hostile_nesting_prefix_is_rejected_without_recursing() {
+        // 100 000 one-element array headers and no leaf: the bounded
+        // decoder stops at the cap instead of overflowing the stack.
+        let bytes = [TAG_ARRAY, 1].repeat(100_000);
+        let err = value_from_bytes_bounded(&bytes, 256).unwrap_err();
+        assert!(err.to_string().contains("depth"), "{err}");
     }
 
     #[test]

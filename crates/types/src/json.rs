@@ -42,7 +42,12 @@ pub fn to_json_pretty(value: &Value) -> String {
     out
 }
 
-const MAX_DEPTH: usize = 256;
+/// Deepest value nesting accepted from untrusted input: JSON text here,
+/// and wire messages (`mmdb_protocol`) and query expressions
+/// (`mmdb_query`) elsewhere. A scalar is one level; every enclosing
+/// array or object adds one. Recursive decoders stay far inside a small
+/// thread stack at this depth.
+pub const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
     bytes: &'a [u8],

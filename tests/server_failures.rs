@@ -325,3 +325,87 @@ fn shutdown_drains_open_connections_and_aborts_their_transactions() {
     // The port no longer accepts mmdb connections.
     assert!(Client::connect(&addr).is_err());
 }
+
+/// `levels` of one-element arrays around the integer 1, as JSON text:
+/// nesting depth `levels + 1` the way the JSON parser counts it.
+fn nested_json(levels: usize) -> String {
+    format!("{}1{}", "[".repeat(levels), "]".repeat(levels))
+}
+
+/// A second connection still answers: the server process survived.
+fn assert_server_alive(addr: &str) {
+    let mut probe = Client::connect(addr).unwrap();
+    probe.ping().unwrap();
+}
+
+#[test]
+fn a_deeply_nested_frame_before_the_handshake_is_refused_not_fatal() {
+    // 20 000 nested one-element arrays: 40 KB on the wire. Decoding it
+    // recursively used to overflow the connection thread's stack and
+    // abort the whole server.
+    let (_db, server, addr) = start_server(ServerConfig::default());
+    let mut payload = [0x07u8, 1].repeat(20_000); // array tag, one element
+    payload.push(0x00); // null leaf
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    frame::write_frame(&mut raw, &payload, frame::MAX_FRAME_LEN).unwrap();
+    // A framed protocol error, or just a closed connection.
+    if let Ok(reply) = frame::read_frame(&mut raw, frame::MAX_FRAME_LEN) {
+        match Response::decode(&reply).unwrap() {
+            Response::Err { kind, .. } => assert_eq!(kind, "protocol"),
+            other => panic!("expected protocol error, got {other:?}"),
+        }
+        let mut buf = [0u8; 1];
+        assert_eq!(raw.read(&mut buf).unwrap_or(0), 0, "server closes after protocol error");
+    }
+    assert_server_alive(&addr);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_document_nested_past_the_cap_gets_a_protocol_error() {
+    let (db, server, addr) = start_server(ServerConfig::default());
+    db.create_collection("docs").unwrap();
+    let mut client = Client::connect(&addr).unwrap();
+    // 1 024 levels: deeper than JSON text may nest, so built directly.
+    let deep = Value::object([("d", (0..1_022).fold(Value::int(1), |v, _| Value::Array(vec![v])))]);
+    let err = client.insert_document("docs", deep).unwrap_err();
+    assert_eq!(err.kind(), "protocol", "{err}");
+    assert_server_alive(&addr);
+    assert_eq!(db.query("FOR d IN docs RETURN d").unwrap().len(), 0);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_query_nested_past_the_parser_cap_is_a_parse_error() {
+    let (_db, server, addr) = start_server(ServerConfig::default());
+    let mut client = Client::connect(&addr).unwrap();
+    let err = client.query(&format!("RETURN {}", nested_json(100_000))).unwrap_err();
+    assert_eq!(err.kind(), "parse", "{err}");
+    // A query error leaves the connection usable.
+    client.ping().unwrap();
+    assert_server_alive(&addr);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_document_at_the_nesting_cap_round_trips_through_a_transaction() {
+    let (db, server, addr) = start_server(ServerConfig::default());
+    db.create_collection("docs").unwrap();
+    // {"d": [[…1…]]} nests exactly MAX_DEPTH levels: the deepest JSON
+    // text the parser accepts.
+    let text = format!("{{\"d\": {}}}", nested_json(mmdb_types::json::MAX_DEPTH - 2));
+    let doc = mmdb_types::from_json(&text).unwrap();
+    let mut client = Client::connect(&addr).unwrap();
+    client.begin(false).unwrap();
+    let key = client.insert_document("docs", doc.clone()).unwrap();
+    let staged = client.get_document("docs", &key).unwrap().unwrap();
+    assert_eq!(staged.get_field("d"), doc.get_field("d"));
+    client.commit().unwrap();
+    let committed = client.get_document("docs", &key).unwrap().unwrap();
+    assert_eq!(committed.get_field("d"), doc.get_field("d"));
+    // One level deeper is past what JSON text may carry.
+    let too_deep = format!("{{\"d\": {}}}", nested_json(mmdb_types::json::MAX_DEPTH - 1));
+    assert!(mmdb_types::from_json(&too_deep).is_err());
+    server.shutdown().unwrap();
+}
